@@ -3,9 +3,21 @@
 The objective for a design ``{v}`` is ``sum_v |<v|e>|^2 |<v|f>|^2`` over unit
 vectors e, f.  For fixed f it is a Hermitian quadratic form in e, so each
 half-step is solved exactly by an extremal eigenvector; alternating these
-exact updates is monotone and converges fast.  The upper bound reduces to a
-single-vector maximization of ``sum_v |<v|e>|^4`` (arithmetic-geometric mean
-argument), which the same fixed-point ascent solves.
+exact updates is monotone and converges fast.
+
+The upper bound reduces to a single-vector maximization of
+``F(e) = sum_v |<v|e>|^4`` (arithmetic-geometric mean argument), which the
+same fixed-point ascent solves.  It is also proved from above: F(e) is
+``<e e|Q|e e>`` with ``Q = sum_v (|v><v|)^(x2)``, so no product state exceeds
+the level-2 eigenvalue ``lambda = lambda_max(P_sym Q P_sym)`` (Doherty &
+Wehner, arXiv:1210.5048), the result's ``certificate``.  Once the ascent's
+best restart comes within ``CERTIFY_WINDOW`` of lambda, a Gauss-Newton step
+on the residual ``R^(1/2) (e x e)``, ``R = lambda P_sym - P_sym Q P_sym``
+(whose zeros are exactly the maximizers when lambda is attained), tries to
+reach lambda; success ends the search.  Each result names why it stopped:
+``certified`` (the maximizer reaches lambda within ``CERTIFY_TOL``),
+``stationary`` (every restart stopped improving) or ``max_sweeps``; only the
+last counts as not converged.
 
 All optimizers are multistarted from a seeded generator and deterministic:
 a fixed seed yields a bit-identical result.  Restart batches are evaluated
@@ -26,6 +38,13 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .designs import MubSet, SicSet, mub_triple_family_d4
+
+
+#: The certificate step is tried once the best restart is this close to lambda,
+CERTIFY_WINDOW = 1e-4
+#: and it proves the maximum when it reaches lambda this closely.
+CERTIFY_TOL = 1e-12
+_CERTIFY_ITERATIONS = 16
 
 
 class EnumerationCapExceededError(RuntimeError):
@@ -80,13 +99,21 @@ class LowerBoundResult:
 
 @dataclass(frozen=True)
 class UpperBoundResult:
+    """``value`` is the objective re-evaluated at ``maximizer``; no product
+    state exceeds ``certificate``.  ``stop_reason`` is ``certified``,
+    ``stationary`` or ``max_sweeps``."""
+
     value: float
     maximizer: np.ndarray
-    converged: bool
+    certificate: float
+    stop_reason: str
     restarts: int
     sweeps: int
-    cross_check_value: float | None
     objective_history: tuple[float, ...]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_sweeps"
 
 
 @dataclass(frozen=True)
@@ -103,6 +130,7 @@ class BoundRecord:
     argmax: np.ndarray
     restarts: int
     converged: bool
+    provenance: str | None = None  # the design's provenance; None when unknown
 
     def __post_init__(self):
         if self.lower < -1e-12 or self.lower > self.upper + 1e-9:
@@ -200,13 +228,20 @@ def _two_vector_iterate(
     return e, f, obj, delta, sweeps_used, history
 
 
-def _single_vector_ascend(v1, e, *, tol, max_sweeps):
-    """Fixed-point ascent on sum_v |<v|e>|^4 via the top eigenvector map."""
+def _single_vector_ascend(v1, e, *, tol, max_sweeps, certify=None):
+    """Fixed-point ascent on sum_v |<v|e>|^4 via the top eigenvector map.
+
+    With ``certify`` (a :class:`_Level2Certificate`), each sweep whose best
+    restart lies within ``CERTIFY_WINDOW`` of ``certify.value`` ends with a
+    certificate step on that restart.  A step that succeeds ends the ascent;
+    its vector is returned last (``None`` when no step succeeded).
+    """
     v1c = v1.conj()
     prev = np.full(e.shape[:-1], -np.inf)
     sweeps_used = max_sweeps
     delta = np.full(e.shape[:-1], np.inf)
     obj = prev
+    certified = None
     for sweep in range(max_sweeps):
         w = _amps_sq(v1c, e)
         e = _eig_extreme(_weighted_frame(w, v1, v1c), maximize=True)
@@ -214,10 +249,69 @@ def _single_vector_ascend(v1, e, *, tol, max_sweeps):
         obj = np.sum(w * w, axis=-1)
         delta = obj - prev
         prev = obj
-        if (delta < tol).all():
+        if certify is not None:
+            best = int(np.argmax(obj))
+            if obj[best] >= certify.value - CERTIFY_WINDOW:
+                certified = certify.step(e[best])
+        if certified is not None or (delta < tol).all():
             sweeps_used = sweep + 1
             break
-    return e, obj, delta, sweeps_used
+    return e, obj, delta, sweeps_used, certified
+
+
+class _Level2Certificate:
+    """The level-2 eigenvalue bound of one design and its certificate step.
+
+    ``value`` is lambda = lambda_max(P_sym Q P_sym) with
+    Q = sum_v (|v><v|)^(x2); Q is supported on the symmetric subspace, so
+    this is lambda_max(Q).  ``root`` is R^(1/2) with R = lambda P_sym - Q,
+    positive semidefinite, and ||R^(1/2)(e x e)||^2 = lambda - F(e) for unit e.
+    """
+
+    def __init__(self, v: np.ndarray):
+        n, d = v.shape
+        self.v_conj = v.conj()
+        pairs = (v[:, :, None] * v[:, None, :]).reshape(n, d * d)  # rows v x v
+        q = pairs.T @ pairs.conj()
+        swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+        self.value = float(np.linalg.eigvalsh(q)[-1])
+        vals, vecs = np.linalg.eigh(self.value * (np.eye(d * d) + swap) / 2 - q)
+        self.root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+    def step(self, e: np.ndarray) -> np.ndarray | None:
+        """Gauss-Newton on R^(1/2)(e x e) over the unit sphere, from ``e``.
+
+        The step moves in the complex orthogonal complement of ``e`` (the
+        sphere's tangent space without the phase) and renormalizes; it is
+        repeated while the gap to ``value`` shrinks.  At a flat maximum the
+        residual is quadratic in the distance, and each step only quarters
+        it.  Returns the best phase-canonical vector if it reaches ``value``
+        within ``CERTIFY_TOL``, else ``None``.
+        """
+        d = e.shape[0]
+        best, best_gap = None, np.inf
+        for _ in range(_CERTIFY_ITERATIONS):
+            tangent = np.linalg.qr(np.column_stack([e, np.eye(d)]))[0][:, 1:]
+            dirs = np.concatenate([tangent, 1j * tangent], axis=1)
+            resid = self.root @ np.kron(e, e)
+            jac = self.root @ (np.kron(dirs, e[:, None]) + np.kron(e[:, None], dirs))
+            step = np.linalg.lstsq(
+                np.concatenate([jac.real, jac.imag]),
+                -np.concatenate([resid.real, resid.imag]),
+                rcond=None,
+            )[0]
+            e = dirs @ step + e
+            e = _canonical_vector(e / np.linalg.norm(e))
+            gap = self.value - _quartic(self.v_conj, e)
+            if gap >= best_gap:
+                break
+            best, best_gap = e, gap
+        return best if best_gap <= CERTIFY_TOL else None
+
+
+def _quartic(v_conj: np.ndarray, e: np.ndarray) -> float:
+    w = _amps_sq(v_conj, e)
+    return float(np.sum(w * w))
 
 
 def _canonical_vector(vec: np.ndarray) -> np.ndarray:
@@ -250,14 +344,6 @@ def _polish_two_vector(v1, e, f, *, minimize, report_tol, second_conj=False, max
         max_sweeps=max_sweeps, second_conj=second_conj,
     )
     return e[0], f[0], float(obj[0]), bool(delta[0] < report_tol)
-
-
-def _polish_single_vector(v1, e, *, report_tol, max_sweeps=5000):
-    stop_tol = min(1e-15, report_tol)
-    e, obj, delta, _ = _single_vector_ascend(
-        v1[None], e[None], tol=stop_tol, max_sweeps=max_sweeps
-    )
-    return e[0], float(obj[0]), bool(delta[0] < report_tol)
 
 
 def separable_lower_bound(
@@ -309,66 +395,49 @@ def separable_lower_bound(
 
 
 def separable_upper_bound(
-    design,
-    opts: OptimizerOptions = DEFAULT_OPTIONS,
-    *,
-    cross_check: bool = True,
-    cross_check_tol: float = 1e-7,
+    design, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> UpperBoundResult:
-    """Maximize the correlation sum over product states.
+    """Maximize the correlation sum over product states, proved by lambda.
 
     Runs the single-vector ascent on ``sum_v |<v|e>|^4`` (the product-state
-    maximum equals this by the mean inequality) and, unless disabled,
-    cross-checks against the direct two-vector maximization.  Disagreement
-    beyond ``cross_check_tol`` clears the ``converged`` flag and the larger
-    achieved value is returned.
+    maximum equals this by the mean inequality) until the certificate step
+    reaches the level-2 eigenvalue, every restart is stationary, or
+    ``opts.max_sweeps`` is spent; the latter two polish the best restart.
     """
     v = design_vectors(design)
     n, d = v.shape
     if n == 0:
         raise ValueError("empty design")
+    cert = _Level2Certificate(v)
     restarts = opts.restarts_for(d)
     rng = np.random.default_rng(opts.seed)
     e0 = _random_unit(rng, (restarts, d))
-    e, obj, _, sweeps = _single_vector_ascend(
-        v[None], e0, tol=opts.tol, max_sweeps=opts.max_sweeps
+    e, obj, delta, sweeps, e_b = _single_vector_ascend(
+        v[None], e0, tol=opts.tol, max_sweeps=opts.max_sweeps, certify=cert
     )
-    best = int(np.argmax(obj))
-    e_b, value, converged = _polish_single_vector(v, e[best], report_tol=opts.tol)
-    history = (float(value),)
-
-    cross_value = None
-    if cross_check:
-        e1 = _random_unit(rng, (restarts, d))
-        f1 = _random_unit(rng, (restarts, d))
-        e2, f2, obj2, _, _, _ = _two_vector_iterate(
-            v[None], e1, f1, minimize=False, tol=opts.tol, max_sweeps=opts.max_sweeps
-        )
-        b2 = int(np.argmax(obj2))
-        _, _, cross_value, _ = _polish_two_vector(
-            v, e2[b2], f2[b2], minimize=False, report_tol=opts.tol
-        )
-        if abs(cross_value - value) > cross_check_tol:
-            converged = False
-        if cross_value > value:
-            value = cross_value
-    # tie-break among the top eigenspace only when it preserves the quartic
-    # objective; otherwise keep the polished maximizer
-    w = _amps_sq(v.conj(), e_b)
-    cand = _resolve_degenerate(_weighted_frame(w, v, v.conj()), minimize=False)
-    w_c = _amps_sq(v.conj(), cand)
-    cand_val = float(np.sum(w_c * w_c))
-    if cand_val >= value - 1e-12:
-        e_b = cand
-        value = max(value, cand_val)
+    if e_b is not None:
+        stop_reason = "certified"
+    else:
+        stop_reason = "stationary" if (delta < opts.tol).all() else "max_sweeps"
+        polished = _single_vector_ascend(
+            v[None], e[None, int(np.argmax(obj))], tol=1e-15, max_sweeps=5000
+        )[0]
+        e_b = _canonical_vector(polished[0])
+        # tie-break among the top eigenspace only when it preserves the
+        # quartic objective; otherwise keep the polished maximizer
+        w = _amps_sq(v.conj(), e_b)
+        cand = _resolve_degenerate(_weighted_frame(w, v, v.conj()), minimize=False)
+        if _quartic(v.conj(), cand) >= _quartic(v.conj(), e_b) - 1e-12:
+            e_b = cand
+    value = _quartic(v.conj(), e_b)
     return UpperBoundResult(
-        value=float(value),
-        maximizer=_canonical_vector(e_b),
-        converged=converged,
+        value=value,
+        maximizer=e_b,
+        certificate=cert.value,
+        stop_reason=stop_reason,
         restarts=restarts,
         sweeps=sweeps,
-        cross_check_value=cross_value,
-        objective_history=history,
+        objective_history=(value,),
     )
 
 
@@ -421,6 +490,7 @@ def compute_bound_record(
         argmax=up.maximizer,
         restarts=lo.restarts,
         converged=lo.converged and up.converged,
+        provenance=getattr(design, "provenance", None),
     )
 
 
@@ -553,7 +623,8 @@ def d4_family_scan(
     separate basins); the best ``refine_count`` candidates for the maximum
     and the minimum are then refined with a local simplex search of radius
     pi/grid_steps, and every candidate is confirmed with the full polished
-    optimizer before the extrema are selected.
+    optimizer before the extrema are selected.  The reported locations are
+    reduced by :func:`_params_mod_pi`; ``per_point`` keeps the grid.
     """
     if grid_steps < 9:
         raise ValueError("need at least 9 grid steps per axis")
@@ -613,7 +684,7 @@ def d4_family_scan(
         ]
         tied.sort(key=lambda t: (t[0], t[1]))
         _, _, p = tied[0]
-        return tuple(float(c) for c in p), float(best_val)
+        return _params_mod_pi(p), float(best_val)
 
     argmax_params, l_plus = pick(maximize=True)
     argmin_params, l_minus = pick(maximize=False)
@@ -625,6 +696,16 @@ def d4_family_scan(
         grid_steps=grid_steps,
         per_point=per_point,
     )
+
+
+def _params_mod_pi(point) -> tuple[float, float, float]:
+    """Each of (x, y, z) reduced into [0, pi), pi itself mapping to 0.
+
+    Shifting any one coordinate by pi only permutes vectors within one basis
+    of the triple, so the reduced point names the same triple; the reported
+    extrema then do not depend on the grid.
+    """
+    return tuple(float(np.mod(c, np.pi)) for c in point)
 
 
 def _initial_simplex(center, radius):

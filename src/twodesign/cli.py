@@ -132,6 +132,7 @@ def bound_record_to_obj(rec: BoundRecord) -> dict:
         "argmax": _complex_pairs(rec.argmax) if rec.argmax is not None else None,
         "restarts": rec.restarts,
         "converged": rec.converged,
+        "provenance": rec.provenance,
     }
 
 
@@ -156,6 +157,7 @@ def bound_record_from_obj(obj: dict) -> BoundRecord:
         argmax=argmax,
         restarts=int(obj.get("restarts", 0)),
         converged=bool(obj.get("converged", True)),
+        provenance=obj.get("provenance"),
     )
 
 

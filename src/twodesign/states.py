@@ -150,12 +150,17 @@ def detect(
     """Evaluate the correlation sum and compare against both separable bounds.
 
     A value below ``lower - tol`` or above ``upper + tol`` certifies
-    entanglement; anything within the band is inconclusive.
+    entanglement; anything within the band is inconclusive.  Bounds that
+    name their design's provenance must name the spec's.
     """
     if bounds.design_kind != spec.kind or bounds.dim != spec.dim or bounds.size != spec.size:
         raise DesignMismatchError(
             f"bounds are for {bounds.design_kind}(d={bounds.dim}, size={bounds.size}), "
             f"spec is {spec.kind}(d={spec.dim}, size={spec.size})"
+        )
+    if bounds.provenance is not None and bounds.provenance != spec.design.provenance:
+        raise DesignMismatchError(
+            f"bounds are for design {bounds.provenance}, spec is {spec.design.provenance}"
         )
     value = correlation_sum(rho, spec)
     if value < bounds.lower - tol:

@@ -1,5 +1,6 @@
 """Separable-bound optimizers: published values, invariants, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,14 @@ from twodesign import (
     standard_mubs,
     subset_bound_spectrum,
 )
-from twodesign.bounds import ProductState, design_vectors
+from twodesign.bounds import (
+    ProductState,
+    _params_mod_pi,
+    _polish_two_vector,
+    _random_unit,
+    _two_vector_iterate,
+    design_vectors,
+)
 from twodesign.core import random_state_vector
 
 OPTS = OptimizerOptions(seed=0)
@@ -76,10 +84,52 @@ class TestUpperBound:
         assert abs(res.value - 4 / 3) < 1e-6
 
     def test_single_equals_two_vector(self):
+        # reference: the direct two-vector maximization over e, f, whose
+        # maximum the mean inequality says is the single-vector one
+        rng = np.random.default_rng(0)
         for design in (sic_povm(3).subset(range(5)), standard_mubs(2).subset(range(2))):
-            res = separable_upper_bound(design, OPTS, cross_check=True)
-            assert res.cross_check_value is not None
-            assert abs(res.value - res.cross_check_value) < 1e-7
+            v = design_vectors(design)
+            starts = _random_unit(rng, (2, 64, v.shape[1]))
+            e, f, obj, *_ = _two_vector_iterate(
+                v[None], starts[0], starts[1], minimize=False, tol=1e-12, max_sweeps=2000
+            )
+            best = int(np.argmax(obj))
+            reference = _polish_two_vector(v, e[best], f[best], minimize=False, report_tol=1e-12)[2]
+            res = separable_upper_bound(design, OPTS)
+            assert abs(res.value - reference) < 1e-7
+
+
+#: Designs whose product-state maximum is flat and equals the level-2 eigenvalue.
+FLAT_CELLS = (
+    [sic_povm(2).subset(c) for c in itertools.combinations(range(4), 3)]
+    + [sic_povm(3).subset(c) for m in (7, 8) for c in itertools.combinations(range(9), m)]
+    + [sic_povm(2), sic_povm(3), standard_mubs(3)]
+)
+
+
+class TestUpperStopReasons:
+    def test_flat_cells_certified(self):
+        for design in FLAT_CELLS:
+            res = separable_upper_bound(design, OPTS)
+            name = design.provenance
+            assert res.stop_reason == "certified" and res.converged, name
+            assert abs(res.value - res.certificate) <= 1e-12, name
+            assert abs(objective(design, res.maximizer, res.maximizer) - res.value) <= 1e-12, name
+            assert res.sweeps < 100, name
+
+    def test_loose_certificate_stops_stationary(self):
+        res = separable_upper_bound(sic_povm(3).subset([0, 1, 2, 3]), OPTS)
+        assert res.stop_reason == "stationary" and res.converged
+        assert abs(res.certificate - 1.5) < 1e-12
+        assert abs(res.value - 1.29270) < 1e-5
+
+    def test_max_sweeps_is_not_converged(self):
+        res = separable_upper_bound(
+            sic_povm(3).subset([0, 1, 2, 3]), OptimizerOptions(seed=0, max_sweeps=3)
+        )
+        assert res.stop_reason == "max_sweeps"
+        assert res.sweeps == 3
+        assert not res.converged
 
 
 class TestClosedForms:
@@ -238,6 +288,30 @@ class TestTripleFamilyBounds:
             OptimizerOptions(seed=0, restarts=128),
         )
         assert abs(res.value - 0.5) < 1e-4
+
+    def test_pi_shift_keeps_the_triple(self):
+        # shifting x, y or z from 0 to pi permutes vectors within one basis
+        def rays(params):
+            v = design_vectors(mub_triple_family_d4(*params))
+            return np.einsum("ni,nj->nij", v, v.conj())
+
+        for k in range(3):
+            at0 = [0.3, 1.1, 2.0]
+            at0[k] = 0.0
+            at_pi = list(at0)
+            at_pi[k] = np.pi
+            a, b = rays(at0), rays(at_pi)
+            dist = np.abs(a[:, None] - b[None, :]).max(axis=(2, 3))
+            assert dist.min(axis=1).max() < 1e-12
+            assert dist.min(axis=0).max() < 1e-12
+
+    def test_params_mod_pi(self):
+        half = np.pi / 2
+        assert _params_mod_pi((half, np.pi, 0.0)) == (half, 0.0, 0.0)
+        assert _params_mod_pi((half, np.pi, np.pi)) == (half, 0.0, 0.0)
+        assert _params_mod_pi((np.pi + 0.25, -0.5, 0.1)) == pytest.approx(
+            (0.25, np.pi - 0.5, 0.1), abs=1e-15
+        )
 
     def test_small_scan_recovers_extrema(self):
         res = d4_family_scan(

@@ -7,7 +7,7 @@ import pytest
 
 from twodesign import save_density, validate_density
 from twodesign.cli import bound_record_from_obj, bound_record_to_obj, main
-from twodesign.bounds import OptimizerOptions, compute_bound_record
+from twodesign.bounds import OptimizerOptions, compute_bound_record, separable_lower_bound
 from twodesign.designs import sic_povm
 
 
@@ -177,6 +177,30 @@ class TestDetectCommand:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "EntangledByLower"
+
+    def test_cached_bounds_for_another_subset(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--design", "sic", "--d", "3", "--subset", "1,2,3,4,5,7",
+        )
+        assert code == 0
+        assert json.loads(out)["provenance"] == "explicit[1,2,3,4,5,7]"
+        bounds_path = tmp_path / "bounds.json"
+        bounds_path.write_text(out)
+        # product-state minimizer of subset (1,2,3,4,5,6), far below the
+        # floor of subset (1,2,3,4,5,7)
+        low = separable_lower_bound(sic_povm(3).subset(range(6)), OptimizerOptions(seed=0))
+        k = np.kron(low.minimizer.e, low.minimizer.f)
+        state_path = tmp_path / "product.json"
+        save_density(state_path, validate_density(np.outer(k, k.conj()), 3))
+        args = ("detect", "--state-file", str(state_path), "--design", "sic", "--d", "3",
+                "--bounds", "cached", "--bounds-file", str(bounds_path))
+        code, _, err = run_cli(capsys, *args, "--subset", "1,2,3,4,5,6")
+        assert code == 1
+        assert json.loads(err)["error"] == "DesignMismatchError"
+        # on its own subset the product state is, rightly, inconclusive
+        code, out, _ = run_cli(capsys, *args, "--subset", "1,2,3,4,5,7")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Inconclusive"
 
 
 class TestScanCommand:

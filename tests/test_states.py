@@ -18,6 +18,7 @@ from twodesign import (
     isotropic_state,
     partial_transpose,
     permutation_operator,
+    separable_lower_bound,
     sic_povm,
     spa_witness,
     standard_mubs,
@@ -187,3 +188,18 @@ class TestDetect:
         spec = CorrelationSpec(sic_povm(3))
         with pytest.raises(DesignMismatchError):
             detect(isotropic_state(3, 0.5), spec, full_mub3_record)
+
+    def test_subset_mismatch(self):
+        # a record of subset (1,2,3,4,5,7) must not judge data of (1,2,3,4,5,6):
+        # that subset's product-state minimizer lies far below the record's floor
+        sic = sic_povm(3)
+        record = compute_bound_record(sic.subset([0, 1, 2, 3, 4, 6]), OPTS)
+        assert record.provenance == "explicit[1,2,3,4,5,7]"
+        other = sic.subset(range(6))
+        low = separable_lower_bound(other, OPTS)
+        k = np.kron(low.minimizer.e, low.minimizer.f)
+        rho = validate_density(np.outer(k, k.conj()), 3)
+        with pytest.raises(DesignMismatchError):
+            detect(rho, CorrelationSpec(other), record)
+        own = compute_bound_record(other, OPTS)
+        assert detect(rho, CorrelationSpec(other), own).verdict is Verdict.INCONCLUSIVE
