@@ -19,25 +19,33 @@ reach lambda; success ends the search.  Each result names why it stopped:
 ``stationary`` (every restart stopped improving) or ``max_sweeps``; only the
 last counts as not converged.
 
+The lower bound runs the alternating updates on a batch of restarts with
+stacked eigendecompositions.  Each restart retires at the first sweep whose
+improvement falls below ``OptimizerOptions.tol`` and keeps its state and
+objective; later sweeps compute only the restarts still active, so each
+ends bit for bit as it would alone.  The batch stops ``stationary`` when
+none is active, or ``max_sweeps`` when one still improves after
+``OptimizerOptions.max_sweeps``; the best restart is then polished.  The
+d = 4 family scan shares this kernel: it evaluates the (steps - 1)^3
+distinct points of its grid (a coordinate of pi names the same triple as 0)
+with a short sweep budget (60 sweeps of 16 restarts by default), so its
+``per_point`` values are estimates, and confirms its extrema with the full
+lower bound.
+
 All optimizers are multistarted from a seeded generator and deterministic:
-a fixed seed yields a bit-identical result.  Restart batches are evaluated
-with stacked eigendecompositions, and independent work items (subsets, grid
-points) may run on a thread pool capped by the ``TWODESIGN_THREADS``
-environment variable.
+a fixed seed yields a bit-identical result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .designs import MubSet, SicSet, mub_triple_family_d4
+from .designs import MubSet, SicSet, _d4_b2, _d4_b3, mub_triple_family_d4
 
 
 #: The certificate step is tried once the best restart is this close to lambda,
@@ -89,12 +97,19 @@ class ProductState:
 
 @dataclass(frozen=True)
 class LowerBoundResult:
+    """``value`` is the objective re-evaluated at ``minimizer``.  ``stop_reason``
+    is ``stationary`` (every restart retired) or ``max_sweeps``."""
+
     value: float
     minimizer: ProductState
-    converged: bool
+    stop_reason: str
     restarts: int
     sweeps: int
     objective_history: tuple[float, ...]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_sweeps"
 
 
 @dataclass(frozen=True)
@@ -141,23 +156,6 @@ class BoundRecord:
             raise ValueError(f"upper bound {self.upper!r} exceeds design size {self.size}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TWODESIGN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def design_vectors(design) -> np.ndarray:
     """Coerce a MubSet / SicSet / array of unit vectors to an (n, d) stack."""
     if isinstance(design, MubSet):
@@ -198,34 +196,62 @@ def _two_vector_iterate(
 ):
     """Alternating exact eigenvector updates on batched starts.
 
-    ``v1`` is the design stack, broadcastable against the batch; with
-    ``second_conj`` the f factor sees the conjugated design.  Returns the
-    final (e, f), per-item objective, per-item convergence, sweeps used and
-    (when requested) the per-sweep objective trace.
+    ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``;
+    with ``second_conj`` the f factor sees the conjugated design.  Each
+    restart retires at the first sweep whose improvement is below ``tol`` and
+    keeps its e, f and objective; later sweeps compute only the active
+    restarts, so every restart ends exactly as it would run alone.  Returns
+    the final (e, f), per-item objective, per-item stationarity (retired
+    within ``max_sweeps``), per-item sweeps used and (when requested) the
+    per-sweep objective of every item, a retired item repeating its last.
     """
+    batch, d = e.shape[:-1], e.shape[-1]
+    count = math.prod(batch)
+    e_out, f_out = np.empty((count, d), dtype=complex), np.empty((count, d), dtype=complex)
+    obj_out = np.full(count, np.inf if minimize else -np.inf)
+    stationary = np.zeros(count, dtype=bool)
+    used = np.full(count, max_sweeps)
+    # one design for the whole batch is never gathered; per-item designs are
+    # gathered only when the active set shrinks
+    shared = math.prod(v1.shape[:-2]) == 1
+    if shared:
+        v1 = v1.reshape(v1.shape[-2:])
     v1c = v1.conj()
-    v2 = v1c if second_conj else v1
-    v2c = v2.conj()
+    live = np.arange(count).reshape(batch)  # flat indices of the active items
     sign = 1.0 if minimize else -1.0
-    prev = np.full(e.shape[:-1], np.inf if minimize else -np.inf)
+    prev = np.full(batch, np.inf if minimize else -np.inf)
     history = []
-    sweeps_used = max_sweeps
-    delta = np.full(e.shape[:-1], np.inf)
-    obj = prev
+    w_f = _amps_sq(v1 if second_conj else v1c, f)
     for sweep in range(max_sweeps):
-        w_f = _amps_sq(v2c, f)
+        v2, v2c = (v1c, v1) if second_conj else (v1, v1c)
         e = _eig_extreme(_weighted_frame(w_f, v1, v1c), maximize=not minimize)
         w_e = _amps_sq(v1c, e)
         f = _eig_extreme(_weighted_frame(w_e, v2, v2c), maximize=not minimize)
-        obj = np.sum(w_e * _amps_sq(v2c, f), axis=-1)
-        delta = sign * (prev - obj)
-        prev = obj
+        w_f = _amps_sq(v2c, f)
+        obj = np.sum(w_e * w_f, axis=-1)
+        obj_out[live] = obj
         if record_history:
-            history.append(obj)
-        if (delta < tol).all():
-            sweeps_used = sweep + 1
-            break
-    return e, f, obj, delta, sweeps_used, history
+            history.append(obj_out.reshape(batch).copy())
+        done = sign * (prev - obj) < tol
+        if done.any():
+            retired = live[done]
+            e_out[retired], f_out[retired] = e[done], f[done]
+            stationary[retired] = True
+            used[retired] = sweep + 1
+            keep = ~done
+            if not shared:
+                v1 = np.broadcast_to(v1, done.shape + v1.shape[-2:])[keep]
+                v1c = np.broadcast_to(v1c, done.shape + v1c.shape[-2:])[keep]
+            live, e, f, w_f, obj = live[keep], e[keep], f[keep], w_f[keep], obj[keep]
+            if live.size == 0:
+                break
+        prev = obj
+    else:
+        e_out[live], f_out[live] = e, f
+    return (
+        e_out.reshape(batch + (d,)), f_out.reshape(batch + (d,)),
+        obj_out.reshape(batch), stationary.reshape(batch), used.reshape(batch), history,
+    )
 
 
 def _single_vector_ascend(v1, e, *, tol, max_sweeps, certify=None):
@@ -336,14 +362,13 @@ def _resolve_degenerate(m: np.ndarray, minimize: bool) -> np.ndarray:
     return max(cands, key=lambda c: c[0].real)
 
 
-def _polish_two_vector(v1, e, f, *, minimize, report_tol, second_conj=False, max_sweeps=5000):
-    """Deep-converge one candidate; the flag reflects ``report_tol`` stationarity."""
-    stop_tol = min(1e-15, report_tol)
-    e, f, obj, delta, _, _ = _two_vector_iterate(
-        v1[None], e[None], f[None], minimize=minimize, tol=stop_tol,
+def _polish_two_vector(v1, e, f, *, minimize, second_conj=False, max_sweeps=5000):
+    """Deep-converge one candidate: (e, f, objective)."""
+    e, f, obj, *_ = _two_vector_iterate(
+        v1[None], e[None], f[None], minimize=minimize, tol=1e-15,
         max_sweeps=max_sweeps, second_conj=second_conj,
     )
-    return e[0], f[0], float(obj[0]), bool(delta[0] < report_tol)
+    return e[0], f[0], float(obj[0])
 
 
 def separable_lower_bound(
@@ -355,9 +380,10 @@ def separable_lower_bound(
     """Minimize the correlation sum over product states |e> x |f>.
 
     Alternating exact eigenvector updates (each half-step solves its
-    subproblem exactly), multistarted; the best value is returned together
-    with the minimizing product state.  Non-convergence is reported in the
-    ``converged`` flag, never raised.
+    subproblem exactly), multistarted; each restart retires once stationary
+    and the best one is polished and returned with its product state.  A
+    restart still improving after ``opts.max_sweeps`` makes the stop reason
+    ``max_sweeps`` (``converged`` false), which is reported, never raised.
     """
     v = design_vectors(design)
     n, d = v.shape
@@ -367,13 +393,13 @@ def separable_lower_bound(
     rng = np.random.default_rng(opts.seed)
     e0 = _random_unit(rng, (restarts, d))
     f0 = _random_unit(rng, (restarts, d))
-    e, f, obj, _, sweeps, history = _two_vector_iterate(
+    e, f, obj, stationary, used, history = _two_vector_iterate(
         v[None], e0, f0, minimize=True, tol=opts.tol, max_sweeps=opts.max_sweeps,
         second_conj=conjugate_second, record_history=True,
     )
     best = int(np.argmin(obj))
-    e_b, f_b, value, converged = _polish_two_vector(
-        v, e[best], f[best], minimize=True, second_conj=conjugate_second, report_tol=opts.tol
+    e_b, f_b, _ = _polish_two_vector(
+        v, e[best], f[best], minimize=True, second_conj=conjugate_second
     )
     # deterministic reported minimizer: re-solve the final half-steps with the
     # documented degeneracy tie-break (value-preserving for the bilinear form)
@@ -383,14 +409,13 @@ def separable_lower_bound(
     w_e = _amps_sq(v.conj(), e_b)
     f_b = _resolve_degenerate(_weighted_frame(w_e, v2, v2.conj()), minimize=True)
     value = float(np.sum(_amps_sq(v.conj(), e_b) * _amps_sq(v2.conj(), f_b)))
-    trace = tuple(float(h[best]) for h in history)
     return LowerBoundResult(
         value=value,
         minimizer=ProductState(_canonical_vector(e_b), _canonical_vector(f_b)),
-        converged=converged,
+        stop_reason="stationary" if stationary.all() else "max_sweeps",
         restarts=restarts,
-        sweeps=sweeps,
-        objective_history=trace,
+        sweeps=int(used.max()),
+        objective_history=tuple(float(h[best]) for h in history[: used[best]]),
     )
 
 
@@ -522,15 +547,14 @@ def subset_bound_spectrum(
         )
     combos = list(itertools.combinations(range(total), subset_size))
     seeds = np.random.SeedSequence(opts.seed).spawn(len(combos))
-
-    def solve(item):
-        idx, combo = item
-        sub = sic.subset(combo)
-        sub_opts = replace(opts, seed=seeds[idx])
-        label = "(" + ",".join(str(i + 1) for i in combo) + ")"
-        return compute_bound_record(sub, sub_opts, label=label)
-
-    records = _parallel_map(solve, enumerate(combos))
+    records = [
+        compute_bound_record(
+            sic.subset(combo),
+            replace(opts, seed=seed),
+            label="(" + ",".join(str(i + 1) for i in combo) + ")",
+        )
+        for combo, seed in zip(combos, seeds)
+    ]
     lows = [r.lower for r in records]
     highs = [r.upper for r in records]
     return SubsetSpectrum(
@@ -559,53 +583,32 @@ class FamilyScanResult:
 def _triple_stack(params: np.ndarray) -> np.ndarray:
     """Design stacks (P, 12, 4) for the triples at each (x, y, z) row."""
     p = np.asarray(params, dtype=float)
-    count = p.shape[0]
-    out = np.zeros((count, 12, 4), dtype=complex)
+    out = np.zeros((p.shape[0], 12, 4), dtype=complex)
     out[:, :4] = np.eye(4)
-    ex = 1j * np.exp(1j * p[:, 0])
-    b2 = np.zeros((count, 4, 4), dtype=complex)
-    b2[:] = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 0, 0], [1, -1, 0, 0]])
-    b2[:, 2, 2] = ex
-    b2[:, 2, 3] = -ex
-    b2[:, 3, 2] = -ex
-    b2[:, 3, 3] = ex
-    ey = np.exp(1j * p[:, 1])
-    ez = np.exp(1j * p[:, 2])
-    b3 = np.zeros((count, 4, 4), dtype=complex)
-    b3[:, 0] = 1
-    b3[:, 1] = [1, 1, -1, -1]
-    b3[:, 2, 0] = -ey
-    b3[:, 2, 1] = ey
-    b3[:, 2, 2] = ez
-    b3[:, 2, 3] = -ez
-    b3[:, 3, 0] = ey
-    b3[:, 3, 1] = -ey
-    b3[:, 3, 2] = ez
-    b3[:, 3, 3] = -ez
-    out[:, 4:8] = np.swapaxes(b2, 1, 2) / 2  # columns are basis vectors
-    out[:, 8:12] = np.swapaxes(b3, 1, 2) / 2
+    out[:, 4:8] = np.swapaxes(_d4_b2(p[:, 0]), 1, 2)  # columns are basis vectors
+    out[:, 8:12] = np.swapaxes(_d4_b3(p[:, 1], p[:, 2]), 1, 2)
     return out
 
 
-def _grid_lower_bounds(params, restarts, seed, tol, max_sweeps, chunk=256):
-    """Vectorized per-point lower bounds for a list of (x, y, z) triples."""
+def _grid_lower_bounds(params, restarts, seed, tol, max_sweeps, chunk=64):
+    """Vectorized per-point lower bounds for a list of (x, y, z) triples.
+
+    Every point's starts are drawn before the first chunk, so ``chunk`` only
+    caps the memory of the per-restart design stacks, never a value.
+    """
     params = np.asarray(params, dtype=float)
     count = params.shape[0]
     rng = np.random.default_rng(seed)
     e0 = _random_unit(rng, (count, restarts, 4))
     f0 = _random_unit(rng, (count, restarts, 4))
     values = np.zeros(count)
-
-    def solve(span):
-        lo, hi = span
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
         v = _triple_stack(params[lo:hi])[:, None]  # (c, 1, 12, 4)
-        e, f, obj, _, _, _ = _two_vector_iterate(
+        obj = _two_vector_iterate(
             v, e0[lo:hi], f0[lo:hi], minimize=True, tol=tol, max_sweeps=max_sweeps
-        )
+        )[2]
         values[lo:hi] = obj.min(axis=-1)
-
-    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    _parallel_map(solve, spans)
     return values
 
 
@@ -619,20 +622,25 @@ def d4_family_scan(
 ) -> FamilyScanResult:
     """Scan the triple-family lower bound over a uniform grid of [0, pi]^3.
 
-    The grid pass runs a fixed, cheap sweep budget per point (enough to
-    separate basins); the best ``refine_count`` candidates for the maximum
-    and the minimum are then refined with a local simplex search of radius
-    pi/grid_steps, and every candidate is confirmed with the full polished
-    optimizer before the extrema are selected.  The reported locations are
-    reduced by :func:`_params_mod_pi`; ``per_point`` keeps the grid.
+    A coordinate of pi names the same triple as 0 (:func:`_params_mod_pi`),
+    so the grid pass evaluates only the (grid_steps - 1)^3 distinct points,
+    each with a fixed, cheap sweep budget (enough to separate basins), and
+    ``per_point`` repeats the 0 faces on the pi faces.  The best
+    ``refine_count`` distinct points for the maximum and the minimum are then
+    refined with a local simplex search of radius pi/grid_steps, and every
+    candidate is confirmed with the full polished optimizer before the
+    extrema are selected.  The reported locations are reduced by
+    :func:`_params_mod_pi`.
     """
     if grid_steps < 9:
         raise ValueError("need at least 9 grid steps per axis")
     axis = np.linspace(0.0, np.pi, grid_steps)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    values = _grid_lower_bounds(grid, grid_restarts, opts.seed, 1e-11, grid_sweeps)
+    points = _cube(axis[:-1])
+    values = _grid_lower_bounds(points, grid_restarts, opts.seed, 1e-11, grid_sweeps)
+    wrap = np.arange(grid_steps) % (grid_steps - 1)
+    on_grid = values.reshape((grid_steps - 1,) * 3)[np.ix_(wrap, wrap, wrap)].ravel()
     per_point = tuple(
-        (float(x), float(y), float(z), float(v)) for (x, y, z), v in zip(grid, values)
+        (float(x), float(y), float(z), float(v)) for (x, y, z), v in zip(_cube(axis), on_grid)
     )
 
     def refined(point, maximize: bool):
@@ -668,8 +676,8 @@ def d4_family_scan(
     def pick(maximize: bool):
         order = np.argsort(values)
         cand_idx = order[-refine_count:][::-1] if maximize else order[:refine_count]
-        candidates = [(0, grid[i]) for i in cand_idx]
-        candidates += [(1, refined(grid[i], maximize)) for i in cand_idx]
+        candidates = [(0, points[i]) for i in cand_idx]
+        candidates += [(1, refined(points[i], maximize)) for i in cand_idx]
         # confirm every candidate with the polished optimizer; the family has
         # boundary identifications (y or z shifted by pi permutes columns of
         # the same basis), so near-ties are resolved to an exact grid point
@@ -698,6 +706,11 @@ def d4_family_scan(
     )
 
 
+def _cube(axis: np.ndarray) -> np.ndarray:
+    """The (x, y, z) rows of ``axis``^3, z running fastest."""
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def _params_mod_pi(point) -> tuple[float, float, float]:
     """Each of (x, y, z) reduced into [0, pi), pi itself mapping to 0.
 
@@ -716,8 +729,3 @@ def _initial_simplex(center, radius):
         step[k] = radius if c[k] + radius <= np.pi else -radius
         simplex.append(np.clip(c + step, 0.0, np.pi))
     return np.array(simplex)
-
-
-def triple_lower_bound(x: float, y: float, z: float, opts: OptimizerOptions = DEFAULT_OPTIONS):
-    """Lower bound for the single triple at (x, y, z)."""
-    return separable_lower_bound(mub_triple_family_d4(x, y, z), opts)

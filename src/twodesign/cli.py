@@ -3,8 +3,6 @@
 Outputs are JSON by default (values rounded to six significant digits) or
 CSV with ``--format csv`` where the result is naturally tabular.  Exit code
 is nonzero only on errors; detection outcomes are data, not exit codes.
-Worker parallelism for bound computations is capped by the
-``TWODESIGN_THREADS`` environment variable (default 1).
 """
 
 from __future__ import annotations

@@ -149,18 +149,26 @@ def _mubs_d3() -> list[np.ndarray]:
     return [b1, b2, b3, b4]
 
 
-def _d4_b2(x: float) -> np.ndarray:
-    e = 1j * np.exp(1j * x)
-    return 0.5 * np.array(
-        [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, e, -e], [1, -1, -e, e]]
+def _d4_b2(x) -> np.ndarray:
+    """Second basis of the family, columns as vectors; shape (..., 4, 4) for array x."""
+    e = 1j * np.exp(1j * np.asarray(x, dtype=float))
+    one = np.ones_like(e)
+    m = np.array(
+        [[one, one, one, one], [one, one, -one, -one], [one, -one, e, -e], [one, -one, -e, e]]
     )
+    return 0.5 * np.moveaxis(m, (0, 1), (-2, -1))
 
 
-def _d4_b3(y: float, z: float) -> np.ndarray:
-    ey, ez = np.exp(1j * y), np.exp(1j * z)
-    return 0.5 * np.array(
-        [[1, 1, 1, 1], [1, 1, -1, -1], [-ey, ey, ez, -ez], [ey, -ey, ez, -ez]]
+def _d4_b3(y, z) -> np.ndarray:
+    """Third basis of the family, columns as vectors; shape (..., 4, 4) for arrays y, z."""
+    ey, ez = np.broadcast_arrays(
+        np.exp(1j * np.asarray(y, float)), np.exp(1j * np.asarray(z, float))
     )
+    one = np.ones_like(ey)
+    m = np.array(
+        [[one, one, one, one], [one, one, -one, -one], [-ey, ey, ez, -ez], [ey, -ey, ez, -ez]]
+    )
+    return 0.5 * np.moveaxis(m, (0, 1), (-2, -1))
 
 
 _D4_B4 = 0.5 * np.array(

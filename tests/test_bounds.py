@@ -94,7 +94,7 @@ class TestUpperBound:
                 v[None], starts[0], starts[1], minimize=False, tol=1e-12, max_sweeps=2000
             )
             best = int(np.argmax(obj))
-            reference = _polish_two_vector(v, e[best], f[best], minimize=False, report_tol=1e-12)[2]
+            reference = _polish_two_vector(v, e[best], f[best], minimize=False)[2]
             res = separable_upper_bound(design, OPTS)
             assert abs(res.value - reference) < 1e-7
 
@@ -130,6 +130,49 @@ class TestUpperStopReasons:
         assert res.stop_reason == "max_sweeps"
         assert res.sweeps == 3
         assert not res.converged
+
+
+class TestLowerStopReasons:
+    def test_batch_matches_single_starts(self):
+        # a retired restart ends exactly as the same start run alone, and the
+        # batch reports the sweeps of its longest restart
+        for design in (sic_povm(3).subset(range(5)), mub_triple_family_d4(*[np.pi / 2] * 3)):
+            v = design_vectors(design)
+            rng = np.random.default_rng(0)  # the starts of separable_lower_bound at seed 0
+            e0 = _random_unit(rng, (8, v.shape[1]))
+            f0 = _random_unit(rng, (8, v.shape[1]))
+            e, f, obj, *_ = _two_vector_iterate(
+                v[None], e0, f0, minimize=True, tol=1e-12, max_sweeps=2000
+            )
+            longest = 0
+            for i in range(8):
+                e1, f1, obj1, _, used1, _ = _two_vector_iterate(
+                    v[None], e0[i : i + 1], f0[i : i + 1], minimize=True, tol=1e-12, max_sweeps=2000
+                )
+                np.testing.assert_array_equal(e1[0], e[i])
+                np.testing.assert_array_equal(f1[0], f[i])
+                assert obj1[0] == obj[i]
+                longest = max(longest, int(used1[0]))
+            res = separable_lower_bound(design, OptimizerOptions(seed=0, restarts=8))
+            assert res.sweeps == longest
+
+    def test_max_sweeps_is_not_converged(self):
+        res = separable_lower_bound(
+            sic_povm(3).subset([0, 1, 2, 3]), OptimizerOptions(seed=0, max_sweeps=3)
+        )
+        assert res.stop_reason == "max_sweeps"
+        assert res.sweeps == 3
+        assert not res.converged
+
+    def test_d3_mub_pair_stationary(self):
+        res = separable_lower_bound(standard_mubs(3).subset([0, 1]), OPTS)
+        assert res.stop_reason == "stationary" and res.converged
+
+    def test_symmetric_triple_floor(self):
+        design = mub_triple_family_d4(np.pi / 2, np.pi / 2, np.pi / 2)
+        res = separable_lower_bound(design, OPTS)
+        assert abs(res.value - 0.25) <= 1e-12
+        assert abs(objective(design, res.minimizer.e, res.minimizer.f) - res.value) <= 1e-12
 
 
 class TestClosedForms:
@@ -181,14 +224,6 @@ class TestSubsetSpectrum:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapExceededError):
             subset_bound_spectrum(sic_povm(4), 8, OptimizerOptions(seed=0, subset_cap=100))
-
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        # results must not depend on the worker count (per-item seeds)
-        sequential = subset_bound_spectrum(sic_povm(2), 2, OPTS)
-        monkeypatch.setenv("TWODESIGN_THREADS", "3")
-        threaded = subset_bound_spectrum(sic_povm(2), 2, OPTS)
-        assert [r.lower for r in threaded.per_subset] == [r.lower for r in sequential.per_subset]
-        assert [r.upper for r in threaded.per_subset] == [r.upper for r in sequential.per_subset]
 
 
 class TestPublishedTableDefects:
@@ -320,3 +355,14 @@ class TestTripleFamilyBounds:
         assert abs(res.l_plus - 0.5) < 5e-3
         assert abs(res.l_minus - 0.25) < 5e-3
         assert len(res.per_point) == 9**3
+
+    def test_pi_faces_repeat_zero_faces(self):
+        res = d4_family_scan(9, OPTS, refine_count=1)
+        grid = np.array(res.per_point).reshape(9, 9, 9, 4)
+        values = grid[..., 3]
+        for axis in range(3):
+            np.testing.assert_array_equal(values.take(8, axis=axis), values.take(0, axis=axis))
+        assert np.allclose(grid[-1, -1, -1, :3], np.pi)
+        assert abs(res.l_minus - 0.25) < 1e-12 and abs(res.l_plus - 0.5) < 1e-12
+        assert res.argmin_params == pytest.approx((np.pi / 2,) * 3, abs=1e-12)
+        assert res.argmax_params == pytest.approx((np.pi / 2, 0.0, 0.0), abs=1e-12)
