@@ -43,8 +43,6 @@ from .correlations import (
     CorrelationSpec,
     coincidence_probability,
     correlation_sum,
-    correlation_sum_mub,
-    correlation_sum_sic,
     design_witness_operator,
     mdi_conversion,
 )

@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
+from .core import permutation_operator
 from .designs import MubSet, SicSet, _d4_b2, _d4_b3, mub_triple_family_d4
 
 
@@ -299,9 +300,8 @@ class _Level2Certificate:
         self.v_conj = v.conj()
         pairs = (v[:, :, None] * v[:, None, :]).reshape(n, d * d)  # rows v x v
         q = pairs.T @ pairs.conj()
-        swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
         self.value = float(np.linalg.eigvalsh(q)[-1])
-        vals, vecs = np.linalg.eigh(self.value * (np.eye(d * d) + swap) / 2 - q)
+        vals, vecs = np.linalg.eigh(self.value * (np.eye(d * d) + permutation_operator(d)) / 2 - q)
         self.root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
     def step(self, e: np.ndarray) -> np.ndarray | None:

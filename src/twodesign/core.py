@@ -80,14 +80,10 @@ class DensityMatrix:
     local_dim: int
     matrix: np.ndarray
 
-    @property
-    def total_dim(self) -> int:
-        return self.local_dim ** 2
-
 
 def _as_complex(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("non-finite entries")
     return m
 
@@ -107,11 +103,8 @@ def kron(a, b) -> np.ndarray:
 
 def permutation_operator(d: int) -> np.ndarray:
     """Swap operator on C^d x C^d: (i, j) -> (j, i)."""
-    p = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            p[i * d + j, j * d + i] = 1.0
-    return p
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return eye.transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 def symmetry_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +151,26 @@ def partial_transpose(rho, subsystem: str = "B", local_dim: int | None = None) -
     return t.reshape(d * d, d * d)
 
 
+def _check_densities(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+    """Run :func:`validate_density`'s checks on a finite (n, D, D) stack.
+
+    The first failing matrix raises what :func:`validate_density` raises for it alone.
+    """
+    adj = np.conj(np.swapaxes(m, -1, -2))
+    herm = np.abs(m - adj).max(axis=(-2, -1))
+    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    min_eig = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
+    fails = (herm > tols.structural) | (tr_dev > tols.structural) | (min_eig < tols.psd_floor)
+    bad = np.flatnonzero(fails)
+    if bad.size:
+        i = bad[0]
+        if herm[i] > tols.structural:
+            raise NotHermitianError(herm[i])
+        if tr_dev[i] > tols.structural:
+            raise NotUnitTraceError(tr_dev[i])
+        raise NotPositiveError(-min_eig[i])
+
+
 def validate_density(matrix, local_dim: int, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
     """Validate a candidate bipartite density matrix.
 
@@ -168,15 +181,7 @@ def validate_density(matrix, local_dim: int, tols: Tolerances = DEFAULT_TOLS) ->
     m = _as_complex(matrix)
     if m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape}")
-    herm = float(np.abs(m - m.conj().T).max())
-    if herm > tols.structural:
-        raise NotHermitianError(herm)
-    tr_dev = abs(complex(np.trace(m)) - 1.0)
-    if tr_dev > tols.structural:
-        raise NotUnitTraceError(tr_dev)
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-    if min_eig < tols.psd_floor:
-        raise NotPositiveError(-min_eig)
+    _check_densities(m[None], tols)
     out = m.copy()
     out.setflags(write=False)
     return DensityMatrix(local_dim=d, matrix=out)

@@ -5,11 +5,18 @@ when both parties measure along the vectors of a (possibly incomplete)
 MUB or SIC design.  With ``conjugate_second`` set, the second party uses
 the complex-conjugated vectors; both conventions appear in closed-form
 results for symmetric states, so the flag is explicit everywhere.
+
+The sum is linear in the state: it is tr[W rho] for the design's witness
+W = sum_v |v w><v w| (w = v, or v* with ``conjugate_second``).  Each
+:class:`CorrelationSpec` builds W once, read-only, and every evaluation is
+the one contraction sum_ij conj(W_ij) rho_ij; the device-independent form
+is the complex conjugate of the same W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +48,16 @@ class CorrelationSpec:
         v = self.design.vectors() if isinstance(self.design, MubSet) else self.design.vectors
         return np.asarray(v)
 
+    @cached_property
+    def witness(self) -> np.ndarray:
+        """Read-only W = sum_v |v w><v w|; tr[W rho] is the correlation sum."""
+        first, second = _pair_vectors(self)
+        d = self.dim
+        joint = (first[:, :, None] * second[:, None, :]).reshape(len(first), d * d)
+        w = joint.T @ joint.conj()
+        w.setflags(write=False)
+        return w
+
     def descriptor(self) -> dict:
         return {
             "kind": self.kind,
@@ -49,13 +66,6 @@ class CorrelationSpec:
             "provenance": self.design.provenance,
             "conjugate_second": self.conjugate_second,
         }
-
-
-def _check_dims(rho: DensityMatrix, dim: int) -> None:
-    if rho.local_dim != dim:
-        raise DimensionMismatchError(
-            f"state has local dimension {rho.local_dim}, design has {dim}"
-        )
 
 
 def coincidence_probability(rho: DensityMatrix, u, v) -> float:
@@ -75,56 +85,26 @@ def _pair_vectors(spec: CorrelationSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def correlation_sum(rho: DensityMatrix, spec: CorrelationSpec) -> float:
-    """Sum of same-index coincidence probabilities over the design."""
-    _check_dims(rho, spec.dim)
-    first, second = _pair_vectors(spec)
-    d = spec.dim
-    joint = (first[:, :, None] * second[:, None, :]).reshape(len(first), d * d)
-    vals = np.einsum("ni,ij,nj->n", joint.conj(), rho.matrix, joint)
-    return float(np.sum(vals.real))
-
-
-def correlation_sum_mub(rho: DensityMatrix, spec: CorrelationSpec) -> float:
-    """Correlation sum for an m-basis MUB design (m*d terms)."""
-    if not isinstance(spec.design, MubSet):
-        raise TypeError("spec.design must be a MubSet")
-    return correlation_sum(rho, spec)
-
-
-def correlation_sum_sic(rho: DensityMatrix, spec: CorrelationSpec) -> float:
-    """Correlation sum for a SIC subset (one term per vector)."""
-    if not isinstance(spec.design, SicSet):
-        raise TypeError("spec.design must be a SicSet")
-    return correlation_sum(rho, spec)
+    """Sum of same-index coincidence probabilities over the design: tr[W rho]."""
+    if rho.local_dim != spec.dim:
+        raise DimensionMismatchError(f"state has local dimension {rho.local_dim}, design has {spec.dim}")
+    return float(np.vdot(spec.witness, rho.matrix).real)
 
 
 def design_witness_operator(spec: CorrelationSpec) -> np.ndarray:
-    """Operator W with tr[W rho] equal to the correlation sum for every rho."""
-    first, second = _pair_vectors(spec)
-    d = spec.dim
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for u, v in zip(first, second):
-        k = np.kron(u, v)
-        w += np.outer(k, k.conj())
-    return w
+    """Operator W with tr[W rho] equal to the correlation sum for every rho (a copy)."""
+    return spec.witness.copy()
 
 
 def mdi_conversion(spec: CorrelationSpec) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Transpose each local factor of the witness for device-independent use.
 
     Transposition is taken in the computational basis, so each rank-one
-    factor |v><v| becomes |v*><v*|.  Returns the transposed operator and,
-    per design index, the pair of normalized states the two parties must
-    prepare (the conjugated design vectors).  The trace is preserved and
-    tr[W_mdi (rho^{T_A T_B})] = tr[W rho] for every state rho.
+    factor |v><v| becomes |v*><v*| and the witness becomes its complex
+    conjugate.  Returns that operator and, per design index, the pair of
+    normalized states the two parties must prepare (the conjugated design
+    vectors).  The trace is preserved and tr[W_mdi (rho^{T_A T_B})] =
+    tr[W rho] for every state rho.
     """
-    first, second = _pair_vectors(spec)
-    d = spec.dim
-    w = np.zeros((d * d, d * d), dtype=complex)
-    preparations = []
-    for u, v in zip(first, second):
-        a, b = u.conj(), v.conj()
-        k = np.kron(a, b)
-        w += np.outer(k, k.conj())
-        preparations.append((a, b))
-    return w, preparations
+    preparations = [(u.conj(), v.conj()) for u, v in zip(*_pair_vectors(spec))]
+    return spec.witness.conj(), preparations

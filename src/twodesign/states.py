@@ -62,35 +62,37 @@ class DesignMismatchError(ValueError):
     """The supplied bounds were computed for a different design."""
 
 
+def _family_matrices(family: str, d: int, params) -> np.ndarray:
+    """Unvalidated (n, d^2, d^2) stack of Werner or isotropic matrices, one per parameter.
+
+    The single-state constructors build their matrices here too, so a
+    stacked entry equals the state built alone, bit for bit.
+    """
+    x = np.asarray(params, dtype=float)[:, None, None]
+    if family == "werner":
+        p_sym, p_asym = symmetry_projectors(d)
+        return x * 2 / (d * (d + 1)) * p_sym + (1 - x) * 2 / (d * (d - 1)) * p_asym
+    if family != "isotropic":
+        raise ValueError("family must be 'werner' or 'isotropic'")
+    phi = max_entangled_state(d)
+    return x * np.outer(phi, phi.conj()) + (1 - x) * np.eye(d * d) / (d * d)
+
+
 def werner_state(d: int, p: float) -> DensityMatrix:
     """Mixture of the normalized symmetric and antisymmetric projectors.
 
     Entangled exactly when p < 1/2.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterOutOfRangeError(f"p must lie in [0, 1], got {p}")
-    if d < 2:
-        raise ValueError("need d >= 2")
-    p_sym, p_asym = symmetry_projectors(d)
-    m = p * 2 / (d * (d + 1)) * p_sym + (1 - p) * 2 / (d * (d - 1)) * p_asym
-    return validate_density(m, d)
+    return symmetric_state(SymmetricStateSpec("werner", d, p))
 
 
 def isotropic_state(d: int, q: float) -> DensityMatrix:
     """q |Phi+><Phi+| + (1-q) 1/d^2; entangled exactly when q > 1/(d+1)."""
-    if not 0.0 <= q <= 1.0:
-        raise ParameterOutOfRangeError(f"q must lie in [0, 1], got {q}")
-    if d < 2:
-        raise ValueError("need d >= 2")
-    phi = max_entangled_state(d)
-    m = q * np.outer(phi, phi.conj()) + (1 - q) * np.eye(d * d) / (d * d)
-    return validate_density(m, d)
+    return symmetric_state(SymmetricStateSpec("isotropic", d, q))
 
 
 def symmetric_state(spec: SymmetricStateSpec) -> DensityMatrix:
-    if spec.family == "werner":
-        return werner_state(spec.dim, spec.parameter)
-    return isotropic_state(spec.dim, spec.parameter)
+    return validate_density(_family_matrices(spec.family, spec.dim, [spec.parameter])[0], spec.dim)
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,29 @@ def witness_expectation(w: np.ndarray, rho: DensityMatrix) -> float:
     herm = float(np.abs(w - w.conj().T).max())
     if herm > 1e-10:
         raise NotHermitianError(herm)
-    return float(np.trace(w @ rho.matrix).real)
+    return float(np.vdot(w, rho.matrix).real)
+
+
+def _check_bounds_match(spec: CorrelationSpec, bounds: BoundRecord) -> None:
+    """Raise :class:`DesignMismatchError` unless ``bounds`` belong to ``spec``'s design."""
+    if bounds.design_kind != spec.kind or bounds.dim != spec.dim or bounds.size != spec.size:
+        raise DesignMismatchError(
+            f"bounds are for {bounds.design_kind}(d={bounds.dim}, size={bounds.size}), "
+            f"spec is {spec.kind}(d={spec.dim}, size={spec.size})"
+        )
+    if bounds.provenance is not None and bounds.provenance != spec.design.provenance:
+        raise DesignMismatchError(
+            f"bounds are for design {bounds.provenance}, spec is {spec.design.provenance}"
+        )
+
+
+def _classify(value: float, bounds: BoundRecord, tol: float = 1e-9) -> Verdict:
+    """The verdict on one correlation sum: entangled beyond either bound by ``tol``."""
+    if value < bounds.lower - tol:
+        return Verdict.ENTANGLED_BY_LOWER
+    if value > bounds.upper + tol:
+        return Verdict.ENTANGLED_BY_UPPER
+    return Verdict.INCONCLUSIVE
 
 
 def detect(
@@ -153,27 +177,13 @@ def detect(
     entanglement; anything within the band is inconclusive.  Bounds that
     name their design's provenance must name the spec's.
     """
-    if bounds.design_kind != spec.kind or bounds.dim != spec.dim or bounds.size != spec.size:
-        raise DesignMismatchError(
-            f"bounds are for {bounds.design_kind}(d={bounds.dim}, size={bounds.size}), "
-            f"spec is {spec.kind}(d={spec.dim}, size={spec.size})"
-        )
-    if bounds.provenance is not None and bounds.provenance != spec.design.provenance:
-        raise DesignMismatchError(
-            f"bounds are for design {bounds.provenance}, spec is {spec.design.provenance}"
-        )
+    _check_bounds_match(spec, bounds)
     value = correlation_sum(rho, spec)
-    if value < bounds.lower - tol:
-        verdict = Verdict.ENTANGLED_BY_LOWER
-    elif value > bounds.upper + tol:
-        verdict = Verdict.ENTANGLED_BY_UPPER
-    else:
-        verdict = Verdict.INCONCLUSIVE
     return DetectionVerdict(
         value=value,
         lower_used=bounds.lower,
         upper_used=bounds.upper,
-        verdict=verdict,
+        verdict=_classify(value, bounds, tol),
         design_descriptor=spec.descriptor(),
         conjugate_second=spec.conjugate_second,
     )

@@ -33,9 +33,11 @@ from .bounds import (
     separable_upper_bound,
     subset_bound_spectrum,
 )
+from .core import DimensionMismatchError, _check_densities
 from .correlations import CorrelationSpec
 from .designs import MubSet, mub_triple_family_d4, sic_povm, standard_mubs
-from .states import DetectionVerdict, SymmetricStateSpec, detect, symmetric_state
+from .states import _check_bounds_match, _classify, _family_matrices
+from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
 
 TABLE_IDS = ("I", "II", "III", "IV", "V", "EQ12")
 
@@ -369,6 +371,10 @@ class ScanResult:
     first_flip: tuple[float, str, str] | None  # (parameter, from, to)
 
 
+#: Parameters per stacked chunk of a family scan.
+SCAN_CHUNK = 64
+
+
 def scan_family(
     family: str,
     d: int,
@@ -380,28 +386,38 @@ def scan_family(
     step: float = 1e-3,
     tol: float = 1e-9,
 ) -> ScanResult:
-    """Verdict per parameter value over a family scan; reports the first flip."""
+    """Verdict per parameter value over a family scan; reports the first flip.
+
+    Each row is what ``detect(symmetric_state(...), spec, bounds, tol)``
+    gives at that parameter (clipped into [0, 1] for the state), without a
+    state object per point: the design match is checked once per scan, and
+    the parameters go in chunks of ``SCAN_CHUNK``.  Each chunk is one stack
+    of the family's matrices, built in the single-state constructors'
+    operations, put through :func:`~twodesign.core.validate_density`'s
+    checks, and contracted with the witness in one ``einsum``.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
+    _check_bounds_match(spec, bounds)
+    if d != spec.dim:
+        raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")
     count = int(round((stop - start) / step))
     params = [start + k * step for k in range(count + 1)]
-    rows = []
-    flip = None
-    prev: DetectionVerdict | None = None
-    for p in params:
-        rho = symmetric_state(SymmetricStateSpec(family, d, min(max(p, 0.0), 1.0)))
-        verdict = detect(rho, spec, bounds, tol)
-        rows.append(ScanRow(parameter=p, value=verdict.value, verdict=verdict.verdict.value))
-        if prev is not None and verdict.verdict != prev.verdict and flip is None:
-            flip = (p, prev.verdict.value, verdict.verdict.value)
-        prev = verdict
-    return ScanResult(
-        family=family,
-        dim=d,
-        design_descriptor=spec.descriptor(),
-        rows=tuple(rows),
-        first_flip=flip,
-    )
+    clipped = np.clip(np.array(params, dtype=float), 0.0, 1.0)
+    w_conj = spec.witness.conj()
+    values = np.empty(len(params))
+    for lo in range(0, len(params), SCAN_CHUNK):
+        stack = _family_matrices(family, d, clipped[lo:lo + SCAN_CHUNK])
+        _check_densities(stack)
+        values[lo:lo + SCAN_CHUNK] = np.einsum("ij,nij->n", w_conj, stack).real
+    rows, flip = [], None
+    for p, value in zip(params, values.tolist()):
+        verdict = _classify(value, bounds, tol).value
+        if flip is None and rows and verdict != rows[-1].verdict:
+            flip = (p, rows[-1].verdict, verdict)
+        rows.append(ScanRow(parameter=p, value=value, verdict=verdict))
+    return ScanResult(family=family, dim=d, design_descriptor=spec.descriptor(),
+                      rows=tuple(rows), first_flip=flip)
 
 
 # -- figure critical values ---------------------------------------------------------
@@ -458,13 +474,3 @@ def figure_critical_values(
                 published=published, certificate=certificate,
             ))
     return out
-
-
-def best_subset_for_lower(spectrum: SubsetSpectrum) -> BoundRecord:
-    """The subset record achieving L+ (ties resolved by enumeration order)."""
-    return max(spectrum.per_subset, key=lambda r: round(r.lower, 9))
-
-
-def best_subset_for_upper(spectrum: SubsetSpectrum) -> BoundRecord:
-    """The subset record achieving U- (ties resolved by enumeration order)."""
-    return min(spectrum.per_subset, key=lambda r: round(r.upper, 9))

@@ -21,6 +21,7 @@ from twodesign import (
     werner_state,
 )
 from twodesign.core import (
+    _check_densities,
     density_from_json_obj,
     density_to_json_obj,
     random_bipartite_density,
@@ -179,6 +180,34 @@ class TestValidateDensity:
         m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(NotPositiveError):
             validate_density(m, 2)
+
+
+class TestDensityStackChecks:
+    BAD = {
+        NotHermitianError: np.eye(4) / 4 + 0.5j * np.eye(4, k=1),
+        NotUnitTraceError: np.eye(4) / 4 * 1.1,
+        NotPositiveError: np.diag([0.6, 0.5, -0.05, -0.05]),
+    }
+
+    @pytest.mark.parametrize("error", list(BAD))
+    def test_same_error_and_violation_as_one_matrix(self, error, rng):
+        bad = self.BAD[error].astype(complex)
+        with pytest.raises(error) as alone:
+            validate_density(bad, 2)
+        good = [random_bipartite_density(2, rng).matrix for _ in range(5)]
+        stack = np.stack(good[:3] + [bad] + good[3:])
+        with pytest.raises(error) as stacked:
+            _check_densities(stack)
+        assert stacked.value.violation == alone.value.violation
+
+    def test_first_failing_matrix_wins(self, rng):
+        good = random_bipartite_density(2, rng).matrix
+        stack = np.stack([good, self.BAD[NotUnitTraceError], self.BAD[NotHermitianError]])
+        with pytest.raises(NotUnitTraceError):
+            _check_densities(stack.astype(complex))
+
+    def test_valid_stack_passes(self, rng):
+        _check_densities(np.stack([random_bipartite_density(3, rng).matrix for _ in range(70)]))
 
 
 class TestSerialization:

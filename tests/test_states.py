@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from twodesign import (
+    BoundRecord,
     CorrelationSpec,
     DesignMismatchError,
+    DimensionMismatchError,
     NotHermitianError,
     OptimizerOptions,
     ParameterOutOfRangeError,
@@ -14,10 +16,12 @@ from twodesign import (
     closed_form_correlation,
     compute_bound_record,
     correlation_sum,
+    design_closed_bounds,
     detect,
     isotropic_state,
     partial_transpose,
     permutation_operator,
+    scan_family,
     separable_lower_bound,
     sic_povm,
     spa_witness,
@@ -29,6 +33,7 @@ from twodesign import (
     witness_expectation,
 )
 from twodesign.core import random_bipartite_density, random_state_vector
+from twodesign.tables import SCAN_CHUNK
 
 OPTS = OptimizerOptions(seed=0)
 
@@ -127,8 +132,6 @@ class TestSpaWitness:
     def test_floor_equals_scaled_design_lower_bound(self):
         # the separable floor is the full-design lower bound divided by the
         # number of design projectors d(d+1)
-        from twodesign import design_closed_bounds
-
         for d in (2, 3, 4):
             _, floor = spa_witness(d)
             lower, _ = design_closed_bounds(d, "mub")
@@ -203,3 +206,63 @@ class TestDetect:
             detect(rho, CorrelationSpec(other), record)
         own = compute_bound_record(other, OPTS)
         assert detect(rho, CorrelationSpec(other), own).verdict is Verdict.INCONCLUSIVE
+
+
+def closed_form_record(design, kind):
+    lower, upper = design_closed_bounds(design.dim, kind)
+    return BoundRecord(
+        design_kind=kind, dim=design.dim, size=design.count,
+        subset_or_params="closed-form(full design)", lower=lower, upper=upper,
+        argmin=None, argmax=None, restarts=0, converged=True,
+    )
+
+
+def assert_rows_match_detect(scan, family, spec, record, indices):
+    """Rows at ``indices`` equal the per-point path detect(symmetric_state(...))."""
+    for i in indices:
+        row = scan.rows[i]
+        x = min(max(row.parameter, 0.0), 1.0)
+        point = detect(symmetric_state(SymmetricStateSpec(family, spec.dim, x)), spec, record)
+        assert row.verdict == point.verdict.value, (family, row.parameter)
+        assert abs(row.value - point.value) <= 1e-12, (family, row.parameter)
+
+
+class TestScanFamily:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mub", "sic"])
+    def test_matches_per_point_detect(self, d, kind):
+        design = standard_mubs(d) if kind == "mub" else sic_povm(d)
+        record = closed_form_record(design, kind)
+        for family, conj, threshold in (("werner", False, 0.5), ("isotropic", True, 1 / (d + 1))):
+            spec = CorrelationSpec(design, conjugate_second=conj)
+            scan = scan_family(family, d, spec, record)
+            params = [row.parameter for row in scan.rows]
+            assert params == [k * 1e-3 for k in range(1001)]
+            assert_rows_match_detect(scan, family, spec, record, range(len(params)))
+            flip = scan.first_flip
+            assert abs(flip[0] - threshold) <= 1e-3 + 1e-12
+            k = params.index(flip[0])
+            assert {row.verdict for row in scan.rows[:k]} == {flip[1]}
+            assert scan.rows[k].verdict == flip[2]
+
+    def test_chunk_boundaries(self):
+        design = sic_povm(3)
+        record = closed_form_record(design, "sic")
+        spec = CorrelationSpec(design, conjugate_second=True)
+        scan = scan_family("isotropic", 3, spec, record, step=1e-4)
+        n = len(scan.rows)
+        assert n == 10001
+        edges = range(SCAN_CHUNK, n, SCAN_CHUNK)
+        indices = sorted({0, n - 1} | {j + o for j in edges for o in (-1, 0, 1) if j + o < n})
+        assert_rows_match_detect(scan, "isotropic", spec, record, indices)
+        k = next(i for i, row in enumerate(scan.rows) if row.verdict != scan.rows[0].verdict)
+        assert scan.first_flip == (scan.rows[k].parameter, scan.rows[0].verdict, scan.rows[k].verdict)
+        assert_rows_match_detect(scan, "isotropic", spec, record, (k - 1, k))
+
+    def test_rejects_mismatched_design_and_dimension(self, full_mub3_record):
+        with pytest.raises(DesignMismatchError):
+            scan_family("werner", 3, CorrelationSpec(sic_povm(3)), full_mub3_record)
+        with pytest.raises(DimensionMismatchError):
+            scan_family("werner", 2, CorrelationSpec(standard_mubs(3)), full_mub3_record)
+        with pytest.raises(ValueError):
+            scan_family("bell", 3, CorrelationSpec(standard_mubs(3)), full_mub3_record)
