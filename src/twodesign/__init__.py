@@ -25,9 +25,7 @@ from .core import (
     validate_density,
 )
 from .designs import (
-    MubSet,
-    OrthonormalBasis,
-    SicSet,
+    Design,
     VerificationReport,
     hw_displacement,
     hw_sic,

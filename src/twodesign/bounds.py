@@ -1,9 +1,13 @@
 """Separable-state bounds of the correlation sums by product-state optimization.
 
 The objective for a design ``{v}`` is ``sum_v |<v|e>|^2 |<v|f>|^2`` over unit
-vectors e, f.  For fixed f it is a Hermitian quadratic form in e, so each
-half-step is solved exactly by an extremal eigenvector; alternating these
-exact updates is monotone and converges fast.
+vectors e, f.  It reads only ``Design.vectors``, so MUB and SIC designs take
+the same path.  Substituting f -> conj(f) maps the objective with the second
+party's vectors conjugated onto this one, so both conventions share their
+bounds and the optimizers take no conjugation option.  For fixed f the
+objective is a Hermitian quadratic form in e, so each half-step is solved
+exactly by an extremal eigenvector; alternating these exact updates is
+monotone and converges fast.
 
 The upper bound reduces to a single-vector maximization of
 ``F(e) = sum_v |<v|e>|^4`` (arithmetic-geometric mean argument), which the
@@ -46,7 +50,7 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .core import permutation_operator
-from .designs import MubSet, SicSet, _d4_b2, _d4_b3, mub_triple_family_d4
+from .designs import Design, _d4_triple, mub_triple_family_d4
 
 
 #: The certificate step is tried once the best restart is this close to lambda,
@@ -106,7 +110,6 @@ class LowerBoundResult:
     stop_reason: str
     restarts: int
     sweeps: int
-    objective_history: tuple[float, ...]
 
     @property
     def converged(self) -> bool:
@@ -125,7 +128,6 @@ class UpperBoundResult:
     stop_reason: str
     restarts: int
     sweeps: int
-    objective_history: tuple[float, ...]
 
     @property
     def converged(self) -> bool:
@@ -147,6 +149,7 @@ class BoundRecord:
     restarts: int
     converged: bool
     provenance: str | None = None  # the design's provenance; None when unknown
+    indices: tuple[int, ...] | None = None  # the design's subset indices, if a subset
 
     def __post_init__(self):
         if self.lower < -1e-12 or self.lower > self.upper + 1e-9:
@@ -155,18 +158,6 @@ class BoundRecord:
             )
         if self.upper > self.size + 1e-9:
             raise ValueError(f"upper bound {self.upper!r} exceeds design size {self.size}")
-
-
-def design_vectors(design) -> np.ndarray:
-    """Coerce a MubSet / SicSet / array of unit vectors to an (n, d) stack."""
-    if isinstance(design, MubSet):
-        return design.vectors()
-    if isinstance(design, SicSet):
-        return np.asarray(design.vectors)
-    v = np.asarray(design, dtype=complex)
-    if v.ndim != 2:
-        raise ValueError("expected a 2-D stack of design vectors")
-    return v
 
 
 # -- batched alternating optimizer ---------------------------------------------
@@ -192,19 +183,15 @@ def _eig_extreme(m: np.ndarray, maximize: bool) -> np.ndarray:
     return vecs[..., :, -1] if maximize else vecs[..., :, 0]
 
 
-def _two_vector_iterate(
-    v1, e, f, *, minimize, tol, max_sweeps, second_conj=False, record_history=False
-):
+def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps):
     """Alternating exact eigenvector updates on batched starts.
 
-    ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``;
-    with ``second_conj`` the f factor sees the conjugated design.  Each
-    restart retires at the first sweep whose improvement is below ``tol`` and
-    keeps its e, f and objective; later sweeps compute only the active
-    restarts, so every restart ends exactly as it would run alone.  Returns
-    the final (e, f), per-item objective, per-item stationarity (retired
-    within ``max_sweeps``), per-item sweeps used and (when requested) the
-    per-sweep objective of every item, a retired item repeating its last.
+    ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``.
+    Each restart retires at the first sweep whose improvement is below
+    ``tol`` and keeps its e, f and objective; later sweeps compute only the
+    active restarts, so every restart ends exactly as it would run alone.
+    Returns the final (e, f), per-item objective, per-item stationarity
+    (retired within ``max_sweeps``) and per-item sweeps used.
     """
     batch, d = e.shape[:-1], e.shape[-1]
     count = math.prod(batch)
@@ -221,18 +208,14 @@ def _two_vector_iterate(
     live = np.arange(count).reshape(batch)  # flat indices of the active items
     sign = 1.0 if minimize else -1.0
     prev = np.full(batch, np.inf if minimize else -np.inf)
-    history = []
-    w_f = _amps_sq(v1 if second_conj else v1c, f)
+    w_f = _amps_sq(v1c, f)
     for sweep in range(max_sweeps):
-        v2, v2c = (v1c, v1) if second_conj else (v1, v1c)
         e = _eig_extreme(_weighted_frame(w_f, v1, v1c), maximize=not minimize)
         w_e = _amps_sq(v1c, e)
-        f = _eig_extreme(_weighted_frame(w_e, v2, v2c), maximize=not minimize)
-        w_f = _amps_sq(v2c, f)
+        f = _eig_extreme(_weighted_frame(w_e, v1, v1c), maximize=not minimize)
+        w_f = _amps_sq(v1c, f)
         obj = np.sum(w_e * w_f, axis=-1)
         obj_out[live] = obj
-        if record_history:
-            history.append(obj_out.reshape(batch).copy())
         done = sign * (prev - obj) < tol
         if done.any():
             retired = live[done]
@@ -251,7 +234,7 @@ def _two_vector_iterate(
         e_out[live], f_out[live] = e, f
     return (
         e_out.reshape(batch + (d,)), f_out.reshape(batch + (d,)),
-        obj_out.reshape(batch), stationary.reshape(batch), used.reshape(batch), history,
+        obj_out.reshape(batch), stationary.reshape(batch), used.reshape(batch),
     )
 
 
@@ -362,20 +345,16 @@ def _resolve_degenerate(m: np.ndarray, minimize: bool) -> np.ndarray:
     return max(cands, key=lambda c: c[0].real)
 
 
-def _polish_two_vector(v1, e, f, *, minimize, second_conj=False, max_sweeps=5000):
+def _polish_two_vector(v1, e, f, *, minimize, max_sweeps=5000):
     """Deep-converge one candidate: (e, f, objective)."""
     e, f, obj, *_ = _two_vector_iterate(
-        v1[None], e[None], f[None], minimize=minimize, tol=1e-15,
-        max_sweeps=max_sweeps, second_conj=second_conj,
+        v1[None], e[None], f[None], minimize=minimize, tol=1e-15, max_sweeps=max_sweeps
     )
     return e[0], f[0], float(obj[0])
 
 
 def separable_lower_bound(
-    design,
-    opts: OptimizerOptions = DEFAULT_OPTIONS,
-    *,
-    conjugate_second: bool = False,
+    design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> LowerBoundResult:
     """Minimize the correlation sum over product states |e> x |f>.
 
@@ -385,42 +364,35 @@ def separable_lower_bound(
     restart still improving after ``opts.max_sweeps`` makes the stop reason
     ``max_sweeps`` (``converged`` false), which is reported, never raised.
     """
-    v = design_vectors(design)
-    n, d = v.shape
-    if n == 0:
-        raise ValueError("empty design")
+    v = design.vectors
+    d = design.dim
     restarts = opts.restarts_for(d)
     rng = np.random.default_rng(opts.seed)
     e0 = _random_unit(rng, (restarts, d))
     f0 = _random_unit(rng, (restarts, d))
-    e, f, obj, stationary, used, history = _two_vector_iterate(
-        v[None], e0, f0, minimize=True, tol=opts.tol, max_sweeps=opts.max_sweeps,
-        second_conj=conjugate_second, record_history=True,
+    e, f, obj, stationary, used = _two_vector_iterate(
+        v[None], e0, f0, minimize=True, tol=opts.tol, max_sweeps=opts.max_sweeps
     )
     best = int(np.argmin(obj))
-    e_b, f_b, _ = _polish_two_vector(
-        v, e[best], f[best], minimize=True, second_conj=conjugate_second
-    )
+    e_b, f_b, _ = _polish_two_vector(v, e[best], f[best], minimize=True)
     # deterministic reported minimizer: re-solve the final half-steps with the
     # documented degeneracy tie-break (value-preserving for the bilinear form)
-    v2 = v.conj() if conjugate_second else v
-    w_f = _amps_sq(v2.conj(), f_b)
+    w_f = _amps_sq(v.conj(), f_b)
     e_b = _resolve_degenerate(_weighted_frame(w_f, v, v.conj()), minimize=True)
     w_e = _amps_sq(v.conj(), e_b)
-    f_b = _resolve_degenerate(_weighted_frame(w_e, v2, v2.conj()), minimize=True)
-    value = float(np.sum(_amps_sq(v.conj(), e_b) * _amps_sq(v2.conj(), f_b)))
+    f_b = _resolve_degenerate(_weighted_frame(w_e, v, v.conj()), minimize=True)
+    value = float(np.sum(_amps_sq(v.conj(), e_b) * _amps_sq(v.conj(), f_b)))
     return LowerBoundResult(
         value=value,
         minimizer=ProductState(_canonical_vector(e_b), _canonical_vector(f_b)),
         stop_reason="stationary" if stationary.all() else "max_sweeps",
         restarts=restarts,
         sweeps=int(used.max()),
-        objective_history=tuple(float(h[best]) for h in history[: used[best]]),
     )
 
 
 def separable_upper_bound(
-    design, opts: OptimizerOptions = DEFAULT_OPTIONS
+    design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> UpperBoundResult:
     """Maximize the correlation sum over product states, proved by lambda.
 
@@ -429,14 +401,11 @@ def separable_upper_bound(
     reaches the level-2 eigenvalue, every restart is stationary, or
     ``opts.max_sweeps`` is spent; the latter two polish the best restart.
     """
-    v = design_vectors(design)
-    n, d = v.shape
-    if n == 0:
-        raise ValueError("empty design")
+    v = design.vectors
     cert = _Level2Certificate(v)
-    restarts = opts.restarts_for(d)
+    restarts = opts.restarts_for(design.dim)
     rng = np.random.default_rng(opts.seed)
-    e0 = _random_unit(rng, (restarts, d))
+    e0 = _random_unit(rng, (restarts, design.dim))
     e, obj, delta, sweeps, e_b = _single_vector_ascend(
         v[None], e0, tol=opts.tol, max_sweeps=opts.max_sweeps, certify=cert
     )
@@ -462,7 +431,6 @@ def separable_upper_bound(
         stop_reason=stop_reason,
         restarts=restarts,
         sweeps=sweeps,
-        objective_history=(value,),
     )
 
 
@@ -489,33 +457,24 @@ def design_closed_bounds(d: int, kind: str) -> tuple[float, float]:
 # -- higher-level drivers --------------------------------------------------------
 
 def compute_bound_record(
-    design,
-    opts: OptimizerOptions = DEFAULT_OPTIONS,
-    *,
-    label: str | None = None,
-    conjugate_second: bool = False,
+    design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS, *, label: str | None = None
 ) -> BoundRecord:
     """Run both optimizers on one design and package the result."""
-    if isinstance(design, MubSet):
-        kind, size = "mub", design.count
-    elif isinstance(design, SicSet):
-        kind, size = "sic", design.count
-    else:
-        kind, size = "custom", len(design_vectors(design))
-    lo = separable_lower_bound(design, opts, conjugate_second=conjugate_second)
+    lo = separable_lower_bound(design, opts)
     up = separable_upper_bound(design, opts)
     return BoundRecord(
-        design_kind=kind,
-        dim=design_vectors(design).shape[1],
-        size=size,
-        subset_or_params=label if label is not None else getattr(design, "provenance", ""),
+        design_kind=design.kind,
+        dim=design.dim,
+        size=design.count,
+        subset_or_params=label if label is not None else design.provenance,
         lower=lo.value,
         upper=up.value,
         argmin=lo.minimizer,
         argmax=up.maximizer,
         restarts=lo.restarts,
         converged=lo.converged and up.converged,
-        provenance=getattr(design, "provenance", None),
+        provenance=design.provenance,
+        indices=design.indices,
     )
 
 
@@ -533,7 +492,7 @@ class SubsetSpectrum:
 
 
 def subset_bound_spectrum(
-    sic: SicSet, subset_size: int, opts: OptimizerOptions = DEFAULT_OPTIONS
+    sic: Design, subset_size: int, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> SubsetSpectrum:
     """Bounds for every ``subset_size``-subset of a SIC set, plus their extrema."""
     total = sic.count
@@ -580,16 +539,6 @@ class FamilyScanResult:
     per_point: tuple[tuple[float, float, float, float], ...]
 
 
-def _triple_stack(params: np.ndarray) -> np.ndarray:
-    """Design stacks (P, 12, 4) for the triples at each (x, y, z) row."""
-    p = np.asarray(params, dtype=float)
-    out = np.zeros((p.shape[0], 12, 4), dtype=complex)
-    out[:, :4] = np.eye(4)
-    out[:, 4:8] = np.swapaxes(_d4_b2(p[:, 0]), 1, 2)  # columns are basis vectors
-    out[:, 8:12] = np.swapaxes(_d4_b3(p[:, 1], p[:, 2]), 1, 2)
-    return out
-
-
 def _grid_lower_bounds(params, restarts, seed, tol, max_sweeps, chunk=64):
     """Vectorized per-point lower bounds for a list of (x, y, z) triples.
 
@@ -604,7 +553,7 @@ def _grid_lower_bounds(params, restarts, seed, tol, max_sweeps, chunk=64):
     values = np.zeros(count)
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
-        v = _triple_stack(params[lo:hi])[:, None]  # (c, 1, 12, 4)
+        v = _d4_triple(*params[lo:hi].T)[:, None]  # (c, 1, 12, 4)
         obj = _two_vector_iterate(
             v, e0[lo:hi], f0[lo:hi], minimize=True, tol=tol, max_sweeps=max_sweeps
         )[2]

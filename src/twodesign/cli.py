@@ -27,8 +27,7 @@ from .bounds import (
 from .core import load_density
 from .correlations import CorrelationSpec, correlation_sum
 from .designs import (
-    MubSet,
-    SicSet,
+    Design,
     mub_triple_family_d4,
     sic_povm,
     standard_mubs,
@@ -78,18 +77,12 @@ def _parse_subset(raw: str) -> list[int]:
     return [i - 1 for i in idx]
 
 
-def _resolve_design(args) -> MubSet | SicSet:
-    if args.design == "mub":
-        if getattr(args, "x", None) is not None:
-            if args.d != 4:
-                raise ValueError("the (x, y, z) triple family exists only for d=4")
-            return mub_triple_family_d4(args.x, args.y or 0.0, args.z or 0.0)
-        full = standard_mubs(args.d)
-        if getattr(args, "subset", None):
-            return full.subset(args.subset)
-        m = getattr(args, "m", None)
-        return full if m is None else full.subset(range(m))
-    full = sic_povm(args.d)
+def _resolve_design(args) -> Design:
+    if args.design == "mub" and getattr(args, "x", None) is not None:
+        if args.d != 4:
+            raise ValueError("the (x, y, z) triple family exists only for d=4")
+        return mub_triple_family_d4(args.x, args.y or 0.0, args.z or 0.0)
+    full = standard_mubs(args.d) if args.design == "mub" else sic_povm(args.d)
     if getattr(args, "subset", None):
         return full.subset(args.subset)
     m = getattr(args, "m", None)
@@ -200,26 +193,17 @@ def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
 def cmd_designs(args) -> int:
     design = _resolve_design(args)
     if args.action == "show":
-        if isinstance(design, MubSet):
-            payload = {
-                "kind": "mub",
-                "dim": design.dim,
-                "bases": [[_complex_pairs(v) for v in b.vectors] for b in design.bases],
-                "provenance": design.provenance,
-            }
+        payload = {"kind": design.kind, "dim": design.dim}
+        if design.kind == "mub":
+            payload["bases"] = [[_complex_pairs(v) for v in b] for b in design.groups]
         else:
-            payload = {
-                "kind": "sic",
-                "dim": design.dim,
-                "vectors": [_complex_pairs(v) for v in design.vectors],
-                "labels": list(design.labels) if design.labels else None,
-                "provenance": design.provenance,
-            }
+            payload["vectors"] = [_complex_pairs(v) for v in design.vectors]
+            payload["labels"] = list(design.labels) if design.labels else None
+        payload["provenance"] = design.provenance
         _emit_json(payload)
         return 0
-    report = (
-        verify_mub(design, args.tol) if isinstance(design, MubSet) else verify_sic(design, args.tol)
-    )
+    verify = verify_mub if design.kind == "mub" else verify_sic
+    report = verify(design, args.tol)
     _emit_json({
         "pass": report.passed,
         "max_deviation": report.max_deviation,
@@ -265,8 +249,7 @@ def cmd_bounds(args) -> int:
             })
         return 0
     if args.all_subsets:
-        design = _resolve_design(args)
-        if not isinstance(design, SicSet):
+        if _resolve_design(args).kind != "sic":
             raise ValueError("--all-subsets enumerates SIC subsets; use --design sic")
         if args.m is None:
             raise ValueError("--all-subsets requires --m")

@@ -21,14 +21,14 @@ from functools import cached_property
 import numpy as np
 
 from .core import DensityMatrix, DimensionMismatchError
-from .designs import MubSet, SicSet
+from .designs import Design
 
 
 @dataclass(frozen=True)
 class CorrelationSpec:
     """A measurement choice: a design plus the second-party conjugation flag."""
 
-    design: MubSet | SicSet
+    design: Design
     conjugate_second: bool = False
 
     @property
@@ -37,16 +37,12 @@ class CorrelationSpec:
 
     @property
     def kind(self) -> str:
-        return "mub" if isinstance(self.design, MubSet) else "sic"
+        return self.design.kind
 
     @property
     def size(self) -> int:
         """Number of bases (MUB) or vectors (SIC) in the design."""
         return self.design.count
-
-    def design_vectors(self) -> np.ndarray:
-        v = self.design.vectors() if isinstance(self.design, MubSet) else self.design.vectors
-        return np.asarray(v)
 
     @cached_property
     def witness(self) -> np.ndarray:
@@ -79,7 +75,7 @@ def coincidence_probability(rho: DensityMatrix, u, v) -> float:
 
 
 def _pair_vectors(spec: CorrelationSpec) -> tuple[np.ndarray, np.ndarray]:
-    first = spec.design_vectors()
+    first = spec.design.vectors
     second = first.conj() if spec.conjugate_second else first
     return first, second
 

@@ -1,5 +1,11 @@
 """Mutually unbiased bases, SIC sets, and 2-design verification.
 
+Both kinds are one type, :class:`Design`: a read-only stack of unit vectors
+whose groups are worked out from its kind (a basis of d vectors for MUBs,
+a single vector for SICs), so every consumer reads ``design.vectors`` and
+``design.count`` alike.  ``Design.subset`` picks groups and records their
+indices.
+
 Explicit constructions are provided for d = 2, 3, 4.  Vectors are stored
 with their conventional global phases untouched; every quantity computed
 downstream (overlaps squared, projectors, bounds) is phase-invariant, so
@@ -9,6 +15,7 @@ the stored phases only matter for reproducible output.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +27,8 @@ OMEGA3 = np.exp(2j * np.pi / 3)
 
 def _unit_rows(vectors) -> np.ndarray:
     v = np.asarray(vectors, dtype=complex)
-    if v.ndim != 2:
-        raise ValueError("expected a stack of vectors")
+    if v.ndim != 2 or v.shape[0] == 0:
+        raise ValueError("expected a non-empty stack of vectors")
     norms = np.linalg.norm(v, axis=1)
     if np.abs(norms - 1).max() > 1e-12:
         raise ValueError("vectors are not normalized")
@@ -29,88 +36,77 @@ def _unit_rows(vectors) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OrthonormalBasis:
-    """An orthonormal basis of C^d; ``vectors[i]`` is the i-th basis vector."""
+class Design:
+    """Unit vectors of (a subset of) a 2-design, taken in groups.
 
+    ``kind`` is ``"mub"`` (each group is one orthonormal basis: ``dim``
+    consecutive rows of ``vectors``) or ``"sic"`` (each group is one
+    vector).  ``count`` is the number of groups and ``labels`` (optional,
+    e.g. Heisenberg-Weyl (a, b)) has one entry per group.  ``indices`` are
+    the groups :meth:`subset` picked from its parent design, ``None`` for a
+    design built whole.  ``vectors`` is a read-only (n, dim) array.
+    """
+
+    kind: str
     dim: int
     vectors: np.ndarray
-
-    def __post_init__(self):
-        v = _unit_rows(self.vectors)
-        if v.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim} vectors of dimension {self.dim}")
-        gram = v.conj() @ v.T
-        if np.abs(gram - np.eye(self.dim)).max() > 1e-12:
-            raise ValueError("basis is not orthonormal")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-    @classmethod
-    def from_columns(cls, matrix) -> "OrthonormalBasis":
-        """Build from a unitary whose columns are the basis vectors."""
-        m = np.asarray(matrix, dtype=complex)
-        return cls(dim=m.shape[0], vectors=m.T)
-
-
-@dataclass(frozen=True)
-class MubSet:
-    """An ordered collection of pairwise mutually unbiased bases."""
-
-    dim: int
-    bases: tuple[OrthonormalBasis, ...]
+    labels: tuple | None = None
     provenance: str = "custom"
+    indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", tuple(self.bases))
-        if any(b.dim != self.dim for b in self.bases):
-            raise ValueError("all bases must share one dimension")
-
-    @property
-    def count(self) -> int:
-        return len(self.bases)
-
-    def vectors(self) -> np.ndarray:
-        """All m*d vectors stacked basis by basis."""
-        return np.concatenate([b.vectors for b in self.bases])
-
-    def subset(self, indices) -> "MubSet":
-        picked = tuple(self.bases[i] for i in indices)
-        label = ",".join(str(i + 1) for i in indices)
-        return MubSet(self.dim, picked, provenance=f"{self.provenance}[{label}]")
-
-
-@dataclass(frozen=True)
-class SicSet:
-    """An ordered set of unit vectors with pairwise overlap^2 = 1/(d+1)."""
-
-    dim: int
-    vectors: np.ndarray
-    labels: tuple | None = None      # optional Heisenberg-Weyl (a, b) labels
-    provenance: str = "custom"
-
-    def __post_init__(self):
+        if self.kind not in ("mub", "sic"):
+            raise ValueError(f"kind must be 'mub' or 'sic', got {self.kind!r}")
         v = _unit_rows(self.vectors).copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-        if v.shape[1] != self.dim or v.shape[0] > self.dim ** 2:
-            raise ValueError("bad vector shape for a SIC set")
+        n, d = v.shape
+        if d != self.dim or n % self.group_size or (self.kind == "sic" and n > d * d):
+            raise ValueError(f"bad vector shape {v.shape} for a {self.kind} design in d={self.dim}")
+        if self.kind == "mub":
+            groups = self.groups
+            gram = groups.conj() @ np.swapaxes(groups, 1, 2)
+            if np.abs(gram - np.eye(d)).max() > 1e-12:
+                raise ValueError("a basis of the design is not orthonormal")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+            if len(self.labels) != self.count:
+                raise ValueError(f"expected {self.count} labels, got {len(self.labels)}")
+        if self.indices is not None:
+            object.__setattr__(self, "indices", tuple(self.indices))
+
+    @property
+    def group_size(self) -> int:
+        return self.dim if self.kind == "mub" else 1
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        """Number of groups: bases of an MUB design, vectors of a SIC design."""
+        return self.vectors.shape[0] // self.group_size
 
-    def subset(self, indices) -> "SicSet":
-        idx = list(indices)
-        labels = tuple(self.labels[i] for i in idx) if self.labels is not None else None
+    @property
+    def groups(self) -> np.ndarray:
+        """Read-only (count, group_size, dim) view of ``vectors``."""
+        return self.vectors.reshape(self.count, self.group_size, self.dim)
+
+    def subset(self, indices) -> "Design":
+        """The design of the groups at ``indices`` (0-based, in the given order).
+
+        The indices are read once and must be distinct and in
+        [0, ``count``); the result records them in ``indices`` and, 1-based,
+        in its provenance.
+        """
+        idx = tuple(operator.index(i) for i in indices)
+        if len(set(idx)) != len(idx) or any(not 0 <= i < self.count for i in idx):
+            raise ValueError(f"subset indices must be distinct and in [0, {self.count}), got {idx}")
         tag = ",".join(str(i + 1) for i in idx)
-        return SicSet(
+        return Design(
+            self.kind,
             self.dim,
-            self.vectors[idx],
-            labels=labels,
+            self.groups[list(idx)].reshape(-1, self.dim),
+            labels=tuple(self.labels[i] for i in idx) if self.labels is not None else None,
             provenance=f"{self.provenance}[{tag}]",
+            indices=idx,
         )
 
 
@@ -179,7 +175,15 @@ _D4_B5 = 0.5 * np.array(
 )
 
 
-def mub_triple_family_d4(x: float, y: float, z: float) -> MubSet:
+def _d4_triple(x, y, z) -> np.ndarray:
+    """Row vectors of the family's three bases; shape (..., 12, 4) for arrays x, y, z."""
+    b2 = np.swapaxes(_d4_b2(x), -1, -2)
+    b3 = np.swapaxes(_d4_b3(y, z), -1, -2)
+    b1 = np.broadcast_to(np.eye(4, dtype=complex), b2.shape)
+    return np.concatenate([b1, b2, b3], axis=-2)
+
+
+def mub_triple_family_d4(x: float, y: float, z: float) -> Design:
     """The three-parameter family of MUB triples in d = 4.
 
     Valid for all x, y, z in [0, pi].  The triple at (pi/2, pi/2, pi/2) is
@@ -188,15 +192,10 @@ def mub_triple_family_d4(x: float, y: float, z: float) -> MubSet:
     for name, val in (("x", x), ("y", y), ("z", z)):
         if not 0 <= val <= np.pi + 1e-12:
             raise ValueError(f"{name} must lie in [0, pi], got {val}")
-    bases = (
-        OrthonormalBasis.from_columns(np.eye(4, dtype=complex)),
-        OrthonormalBasis.from_columns(_d4_b2(x)),
-        OrthonormalBasis.from_columns(_d4_b3(y, z)),
-    )
-    return MubSet(4, bases, provenance=f"family(x={x:.6g},y={y:.6g},z={z:.6g})")
+    return Design("mub", 4, _d4_triple(x, y, z), provenance=f"family(x={x:.6g},y={y:.6g},z={z:.6g})")
 
 
-def standard_mubs(d: int) -> MubSet:
+def standard_mubs(d: int) -> Design:
     """The complete set of d+1 MUBs for d in {2, 3, 4}.
 
     For d = 4 the first three bases are the extendible triple at
@@ -207,27 +206,23 @@ def standard_mubs(d: int) -> MubSet:
     elif d == 3:
         cols = _mubs_d3()
     elif d == 4:
-        triple = mub_triple_family_d4(np.pi / 2, np.pi / 2, np.pi / 2)
-        bases = triple.bases + (
-            OrthonormalBasis.from_columns(_D4_B4),
-            OrthonormalBasis.from_columns(_D4_B5),
-        )
-        return MubSet(4, bases, provenance="standard")
+        triple = _d4_triple(np.pi / 2, np.pi / 2, np.pi / 2)
+        return Design("mub", 4, np.concatenate([triple, _D4_B4.T, _D4_B5.T]), provenance="standard")
     else:
         raise UnsupportedDimensionError(f"no standard MUB set for d={d}")
-    return MubSet(d, tuple(OrthonormalBasis.from_columns(c) for c in cols), provenance="standard")
+    return Design("mub", d, np.concatenate([c.T for c in cols]), provenance="standard")
 
 
-def verify_mub(mubs: MubSet, tol: float = 1e-10) -> VerificationReport:
+def verify_mub(mubs: Design, tol: float = 1e-10) -> VerificationReport:
     """Check orthonormality of each basis and 1/d cross-basis overlaps."""
     d = mubs.dim
     ortho_dev = 0.0
-    for b in mubs.bases:
-        gram = b.vectors.conj() @ b.vectors.T
+    for b in mubs.groups:
+        gram = b.conj() @ b.T
         ortho_dev = max(ortho_dev, float(np.abs(gram - np.eye(d)).max()))
     overlap_dev = 0.0
-    for a, b in itertools.combinations(mubs.bases, 2):
-        ov = np.abs(a.vectors.conj() @ b.vectors.T) ** 2
+    for a, b in itertools.combinations(mubs.groups, 2):
+        ov = np.abs(a.conj() @ b.T) ** 2
         overlap_dev = max(overlap_dev, float(np.abs(ov - 1.0 / d).max()))
     dev = max(ortho_dev, overlap_dev)
     return VerificationReport(
@@ -279,12 +274,12 @@ def sic_fiducial(d: int) -> np.ndarray:
     raise UnsupportedDimensionError(f"no fiducial stored for d={d}")
 
 
-def hw_sic(d: int) -> SicSet:
+def hw_sic(d: int) -> Design:
     """SIC set as the displacement orbit of the fiducial, (a, b)-lexicographic."""
     f = sic_fiducial(d)
     labels = [(a, b) for a in range(d) for b in range(d)]
     vectors = np.array([hw_displacement(d, a, b) @ f for a, b in labels])
-    return SicSet(d, vectors, labels=tuple(labels), provenance=f"fiducial({d})")
+    return Design("sic", d, vectors, labels=labels, provenance=f"fiducial({d})")
 
 
 def _sic_d2() -> np.ndarray:
@@ -317,7 +312,7 @@ def _sic_d3() -> np.ndarray:
     return np.array(rows, dtype=complex) / np.sqrt(2)
 
 
-def sic_povm(d: int) -> SicSet:
+def sic_povm(d: int) -> Design:
     """The full d^2-element SIC set for d in {2, 3, 4}.
 
     d = 2 and d = 3 use the conventional explicit vector lists (the d = 3 set
@@ -326,15 +321,15 @@ def sic_povm(d: int) -> SicSet:
     lexicographic order.
     """
     if d == 2:
-        return SicSet(2, _sic_d2(), provenance="explicit")
+        return Design("sic", 2, _sic_d2(), provenance="explicit")
     if d == 3:
-        return SicSet(3, _sic_d3(), provenance="explicit")
+        return Design("sic", 3, _sic_d3(), provenance="explicit")
     if d == 4:
         return hw_sic(4)
     raise UnsupportedDimensionError(f"no SIC set stored for d={d}")
 
 
-def verify_sic(sic: SicSet, tol: float = 1e-10) -> VerificationReport:
+def verify_sic(sic: Design, tol: float = 1e-10) -> VerificationReport:
     """Check unit norms and pairwise overlap^2 = 1/(d+1)."""
     v = sic.vectors
     d = sic.dim

@@ -17,7 +17,7 @@ every run proves the refutation again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,14 +28,13 @@ from .bounds import (
     SubsetSpectrum,
     closed_form_mub_upper,
     design_closed_bounds,
-    design_vectors,
     separable_lower_bound,
     separable_upper_bound,
     subset_bound_spectrum,
 )
 from .core import DimensionMismatchError, _check_densities
 from .correlations import CorrelationSpec
-from .designs import MubSet, mub_triple_family_d4, sic_povm, standard_mubs
+from .designs import Design, mub_triple_family_d4, sic_povm, standard_mubs
 from .states import _check_bounds_match, _classify, _family_matrices
 from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
 
@@ -107,9 +106,9 @@ def _row(
     )
 
 
-def _product_value(design, e: np.ndarray, f: np.ndarray) -> float:
+def _product_value(design: Design, e: np.ndarray, f: np.ndarray) -> float:
     """Direct evaluation of ``sum_v |<v|e>|^2 |<v|f>|^2`` at one product state."""
-    v = design_vectors(design).conj()
+    v = design.vectors.conj()
     return float(np.sum(np.abs(v @ e) ** 2 * np.abs(v @ f) ** 2))
 
 
@@ -215,7 +214,7 @@ def _reproduce_table_i(opts: OptimizerOptions) -> TableReport:
     half_pi = np.pi / 2
     minus_designs = {m: mubs4.subset(range(m)) for m in (2, 3, 4, 5)}
     plus_designs = {
-        2: MubSet(4, mub_triple_family_d4(0.0, 0.0, 0.0).bases[:2], provenance="family-pair(x=0)"),
+        2: replace(mub_triple_family_d4(0.0, 0.0, 0.0).subset([0, 1]), provenance="family-pair(x=0)"),
         3: mub_triple_family_d4(half_pi, 0.0, 0.0),
         4: minus_designs[4],
         5: minus_designs[5],
@@ -252,7 +251,7 @@ def _hesse_certificates(spectrum: SubsetSpectrum) -> dict[str, float]:
     sic = sic_povm(3)
     lows, highs = [], []
     for rec in spectrum.per_subset:
-        sub = sic.subset(int(tok) - 1 for tok in rec.subset_or_params.strip("()").split(","))
+        sub = sic.subset(rec.indices)
         lows.append(_product_value(sub, rec.argmin.e, rec.argmin.f))
         highs.append(_product_value(sub, rec.argmax, rec.argmax))
     return {"L-": min(lows), "L+": max(lows), "U+": max(highs), "U-": min(highs)}

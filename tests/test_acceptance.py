@@ -96,7 +96,7 @@ class TestCriterion1DesignValidity:
         for d in (2, 3, 4):
             worst_overlap = max(worst_overlap, verify_mub(standard_mubs(d)).max_deviation)
             worst_overlap = max(worst_overlap, verify_sic(sic_povm(d)).max_deviation)
-            worst_frame = max(worst_frame, verify_2design(standard_mubs(d).vectors()))
+            worst_frame = max(worst_frame, verify_2design(standard_mubs(d).vectors))
             worst_frame = max(worst_frame, verify_2design(sic_povm(d).vectors))
         elapsed = time.perf_counter() - start
         ok = worst_overlap < 1e-10 and worst_frame < 1e-12 and elapsed < 1.0
@@ -274,8 +274,7 @@ class TestCriterion9Soundness:
         sic3 = sic_povm(3)
         for mt, spectrum in hesse_spectra["spectra"].items():
             lead = spectrum.per_subset[0]
-            idx = [int(tok) - 1 for tok in lead.subset_or_params.strip("()").split(",")]
-            designs.append((CorrelationSpec(sic3.subset(idx)), lead))
+            designs.append((CorrelationSpec(sic3.subset(lead.indices)), lead))
 
         flagged = 0
         checked = 0
@@ -290,7 +289,7 @@ class TestCriterion9Soundness:
 
         purity_dev = 0.0
         for d in (2, 3, 4):
-            mub_vectors = standard_mubs(d).vectors()
+            mub_vectors = standard_mubs(d).vectors
             sic_vectors = sic_povm(d).vectors
             for _ in range(100):
                 rho = random_density(d, rng)

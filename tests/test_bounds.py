@@ -26,16 +26,16 @@ from twodesign.bounds import (
     _polish_two_vector,
     _random_unit,
     _two_vector_iterate,
-    design_vectors,
 )
 from twodesign.core import random_state_vector
+from twodesign.correlations import CorrelationSpec
 
 OPTS = OptimizerOptions(seed=0)
 
 
-def objective(vectors, e, f):
+def objective(design, e, f):
     """Direct evaluation of the correlation sum at a product state."""
-    v = design_vectors(vectors)
+    v = design.vectors
     return float(np.sum(np.abs(v.conj() @ e) ** 2 * np.abs(v.conj() @ f) ** 2))
 
 
@@ -88,7 +88,7 @@ class TestUpperBound:
         # maximum the mean inequality says is the single-vector one
         rng = np.random.default_rng(0)
         for design in (sic_povm(3).subset(range(5)), standard_mubs(2).subset(range(2))):
-            v = design_vectors(design)
+            v = design.vectors
             starts = _random_unit(rng, (2, 64, v.shape[1]))
             e, f, obj, *_ = _two_vector_iterate(
                 v[None], starts[0], starts[1], minimize=False, tol=1e-12, max_sweeps=2000
@@ -137,7 +137,7 @@ class TestLowerStopReasons:
         # a retired restart ends exactly as the same start run alone, and the
         # batch reports the sweeps of its longest restart
         for design in (sic_povm(3).subset(range(5)), mub_triple_family_d4(*[np.pi / 2] * 3)):
-            v = design_vectors(design)
+            v = design.vectors
             rng = np.random.default_rng(0)  # the starts of separable_lower_bound at seed 0
             e0 = _random_unit(rng, (8, v.shape[1]))
             f0 = _random_unit(rng, (8, v.shape[1]))
@@ -146,7 +146,7 @@ class TestLowerStopReasons:
             )
             longest = 0
             for i in range(8):
-                e1, f1, obj1, _, used1, _ = _two_vector_iterate(
+                e1, f1, obj1, _, used1 = _two_vector_iterate(
                     v[None], e0[i : i + 1], f0[i : i + 1], minimize=True, tol=1e-12, max_sweeps=2000
                 )
                 np.testing.assert_array_equal(e1[0], e[i])
@@ -259,9 +259,17 @@ class TestPublishedTableDefects:
 
 class TestOptimizerProperties:
     def test_monotone_descent_history(self):
-        res = separable_lower_bound(sic_povm(3).subset(range(5)), OPTS)
-        hist = np.array(res.objective_history)
-        assert np.all(np.diff(hist) <= 1e-12)
+        # the same starts run for 1, 2, ..., 40 sweeps: no restart's objective
+        # ever rises from one budget to the next
+        v = sic_povm(3).subset(range(5)).vectors
+        rng = np.random.default_rng(0)
+        e0, f0 = _random_unit(rng, (8, 3)), _random_unit(rng, (8, 3))
+        hist = np.array([
+            _two_vector_iterate(v[None], e0, f0, minimize=True, tol=1e-12, max_sweeps=k)[2]
+            for k in range(1, 41)
+        ])
+        assert np.all(np.diff(hist, axis=0) <= 1e-12)
+        assert np.all(hist[-1] < hist[0] - 1e-6)
 
     def test_determinism(self):
         design = sic_povm(3).subset([0, 1, 3, 5])
@@ -275,11 +283,18 @@ class TestOptimizerProperties:
         assert ua.value == ub.value
         np.testing.assert_array_equal(ua.maximizer, ub.maximizer)
 
-    def test_conjugation_invariance(self):
+    def test_conjugation_invariance(self, rng):
+        # f -> conj(f) maps the conjugated witness's product values onto the
+        # plain objective, so the plain bound is the conjugated one too
         for design in (standard_mubs(3).subset(range(2)), sic_povm(3).subset(range(6))):
-            plain = separable_lower_bound(design, OPTS).value
-            conj = separable_lower_bound(design, OPTS, conjugate_second=True).value
-            assert abs(plain - conj) < 1e-8
+            res = separable_lower_bound(design, OPTS)
+            w = CorrelationSpec(design, conjugate_second=True).witness
+            k = np.kron(res.minimizer.e, res.minimizer.f.conj())
+            assert abs(np.vdot(k, w @ k).real - res.value) < 1e-12
+            e, f = _random_unit(rng, (2, 500, 3))
+            k = (e[:, :, None] * f[:, None, :]).reshape(500, 9)
+            values = np.einsum("ni,ij,nj->n", k.conj(), w, k).real
+            assert values.min() >= res.value - 1e-12
 
     def test_monotone_in_design_nesting(self):
         sic = sic_povm(3)
@@ -291,7 +306,7 @@ class TestOptimizerProperties:
     def test_random_separable_within_bounds(self, rng):
         design = sic_povm(3).subset(range(6))
         rec = compute_bound_record(design, OPTS)
-        v = design_vectors(design)
+        v = design.vectors
         for _ in range(200):
             e = random_state_vector(3, rng)
             f = random_state_vector(3, rng)
@@ -307,6 +322,15 @@ class TestOptimizerProperties:
         assert rec.design_kind == "sic" and rec.dim == 2 and rec.size == 3
         assert 0 <= rec.lower <= rec.upper <= rec.size
         assert rec.converged
+        assert rec.indices == (0, 1, 2)
+
+    def test_bound_record_indices(self):
+        assert compute_bound_record(standard_mubs(2), OPTS).indices is None
+        rec = compute_bound_record(standard_mubs(3).subset([3, 1]), OPTS)
+        assert rec.indices == (3, 1) and rec.subset_or_params == "standard[4,2]"
+        spec = subset_bound_spectrum(sic_povm(2), 2, OPTS)
+        for r in spec.per_subset:
+            assert r.subset_or_params == "(" + ",".join(str(i + 1) for i in r.indices) + ")"
 
 
 class TestTripleFamilyBounds:
@@ -327,7 +351,7 @@ class TestTripleFamilyBounds:
     def test_pi_shift_keeps_the_triple(self):
         # shifting x, y or z from 0 to pi permutes vectors within one basis
         def rays(params):
-            v = design_vectors(mub_triple_family_d4(*params))
+            v = mub_triple_family_d4(*params).vectors
             return np.einsum("ni,nj->nij", v, v.conj())
 
         for k in range(3):

@@ -1,6 +1,7 @@
 """Command-line surface: output schemas, round-trips, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,43 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+#: ``designs`` and ``bounds`` JSON written once by the release that still had
+#: separate MUB and SIC design classes; ``bounds`` entries omit the argmin
+#: and argmax vectors.
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+def assert_same_json(got, want, path="$"):
+    """Same keys in the same order, same types and values; floats to rounding.
+
+    Deviation fields are rounding noise (about 1e-16), so floats compare
+    within 1e-12 absolute; the six-digit values then match exactly.
+    """
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), path
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+    def test_matches_fixture(self, capsys, case):
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == 0
+        payload = json.loads(out)
+        if case["argv"][0] == "bounds":
+            payload = {k: v for k, v in payload.items() if k not in ("argmin", "argmax")}
+        assert_same_json(payload, case["output"])
 
 
 class TestDesignsCommand:

@@ -180,7 +180,7 @@ class TestMdiConversion:
     def test_preparations_are_conjugated_design(self):
         spec = CorrelationSpec(sic_povm(2))
         _, preps = mdi_conversion(spec)
-        for (a, b), v in zip(preps, spec.design_vectors()):
+        for (a, b), v in zip(preps, spec.design.vectors):
             np.testing.assert_allclose(a, v.conj(), atol=0)
             np.testing.assert_allclose(b, v.conj(), atol=0)
 
@@ -188,7 +188,7 @@ class TestMdiConversion:
 class TestPurityIdentities:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_mub_purity_sum(self, d, rng):
-        vectors = standard_mubs(d).vectors()
+        vectors = standard_mubs(d).vectors
         for _ in range(20):
             rho = random_density(d, rng)
             purity = np.trace(rho @ rho).real

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from twodesign import (
-    MubSet,
-    SicSet,
+    Design,
     UnsupportedDimensionError,
     hw_displacement,
     hw_sic,
@@ -19,7 +18,6 @@ from twodesign import (
     verify_mub,
     verify_sic,
 )
-from twodesign.designs import OrthonormalBasis
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -28,8 +26,8 @@ class TestStandardMubs:
     def test_d2_overlaps(self):
         mubs = standard_mubs(2)
         assert mubs.count == 3
-        for a, b in itertools.combinations(mubs.bases, 2):
-            ov = np.abs(a.vectors.conj() @ b.vectors.T) ** 2
+        for a, b in itertools.combinations(mubs.groups, 2):
+            ov = np.abs(a.conj() @ b.T) ** 2
             np.testing.assert_allclose(ov, 0.5, atol=1e-14)
 
     def test_d3_matches_printed_matrices(self):
@@ -42,8 +40,8 @@ class TestStandardMubs:
             s * np.array([[1, 1, 1], [OMEGA**2, 1, OMEGA], [OMEGA**2, OMEGA, 1]]),
         ]
         mubs = standard_mubs(3)
-        for basis, mat in zip(mubs.bases, expected):
-            np.testing.assert_allclose(basis.vectors, mat.T, atol=0)
+        for basis, mat in zip(mubs.groups, expected):
+            np.testing.assert_allclose(basis, mat.T, atol=0)
 
     def test_d4_passes_verifier(self):
         report = verify_mub(standard_mubs(4), tol=1e-12)
@@ -61,8 +59,8 @@ class TestTripleFamily:
         std = standard_mubs(4)
         # same bases up to per-column phases: every vector matches one vector
         # of the corresponding standard basis with overlap^2 = 1
-        for fam_b, std_b in zip(triple.bases, std.bases[:3]):
-            ov = np.abs(fam_b.vectors.conj() @ std_b.vectors.T) ** 2
+        for fam_b, std_b in zip(triple.groups, std.groups[:3]):
+            ov = np.abs(fam_b.conj() @ std_b.T) ** 2
             np.testing.assert_allclose(np.sort(ov.max(axis=1)), 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("xyz", [(0.0, 0.0, 0.0), (np.pi / 2, 0.0, 0.0), (0.3, 1.1, 2.2)])
@@ -82,11 +80,11 @@ class TestVerifyMub:
 
     def test_single_perturbed_vector_cannot_form_a_basis(self):
         mubs = standard_mubs(3)
-        vecs = mubs.bases[1].vectors.copy()
+        vecs = mubs.groups[1].copy()
         vecs[0] = vecs[0] + np.array([1e-3, 0, 0])
         vecs[0] /= np.linalg.norm(vecs[0])
         with pytest.raises(ValueError):
-            OrthonormalBasis(3, vecs)
+            Design("mub", 3, vecs)
 
     def test_rotated_basis_fails_unbiasedness(self, rng):
         # perturb a whole basis by a small unitary: orthonormality survives,
@@ -96,8 +94,8 @@ class TestVerifyMub:
         h = (g + g.conj().T) / 2
         vals, u0 = np.linalg.eigh(h)
         rot = (u0 * np.exp(1e-3j * vals)) @ u0.conj().T
-        rotated = OrthonormalBasis(3, mubs.bases[1].vectors @ rot.T)
-        bad = MubSet(3, (mubs.bases[0], rotated), provenance="custom")
+        rotated = mubs.groups[1] @ rot.T
+        bad = Design("mub", 3, np.concatenate([mubs.groups[0], rotated]), provenance="custom")
         result = verify_mub(bad, tol=1e-10)
         assert not result.passed
         assert 1e-5 < result.max_deviation < 1e-2
@@ -162,7 +160,7 @@ class TestSicSets:
 
     def test_repeated_vector_fails(self):
         v = sic_povm(2).vectors
-        bad = SicSet(2, np.array([v[0], v[0], v[1]]), provenance="custom")
+        bad = Design("sic", 2, np.array([v[0], v[0], v[1]]), provenance="custom")
         report = verify_sic(bad, tol=1e-10)
         assert not report.passed
         np.testing.assert_allclose(report.max_deviation, 1 - 1 / 3, atol=1e-12)
@@ -190,7 +188,7 @@ class TestOrbitProperty:
 class TestVerify2Design:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_full_sets_are_2designs(self, d):
-        assert verify_2design(standard_mubs(d).vectors()) < 1e-13
+        assert verify_2design(standard_mubs(d).vectors) < 1e-13
         assert verify_2design(sic_povm(d).vectors) < 1e-13
 
     def test_single_basis_d2_deviation(self):
@@ -209,7 +207,7 @@ class TestVerify2Design:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_removing_any_vector_breaks_it(self, d):
-        for vectors in (standard_mubs(d).vectors(), sic_povm(d).vectors):
+        for vectors in (standard_mubs(d).vectors, sic_povm(d).vectors):
             n = len(vectors)
             for drop in range(n):
                 kept = np.delete(vectors, drop, axis=0)
@@ -224,4 +222,51 @@ class TestConstructorInvariants:
 
     def test_basis_validation(self):
         with pytest.raises(ValueError):
-            OrthonormalBasis(2, np.array([[1, 0], [1, 0]], dtype=complex))
+            Design("mub", 2, np.array([[1, 0], [1, 0]], dtype=complex))
+
+    def test_shape_validation(self):
+        v = sic_povm(2).vectors
+        for kind, dim, vectors in (
+            ("mub", 3, standard_mubs(3).vectors[:4]),   # not whole bases
+            ("sic", 2, np.concatenate([v, v[:1]])),     # more than d^2 vectors
+            ("sic", 3, v),                              # wrong dimension
+            ("sic", 2, 2 * v),                          # not unit vectors
+            ("povm", 2, v),                             # unknown kind
+        ):
+            with pytest.raises(ValueError):
+                Design(kind, dim, vectors)
+        with pytest.raises(ValueError):
+            Design("sic", 2, v, labels=((0, 0),))
+
+    def test_vectors_are_read_only(self):
+        for design in (standard_mubs(3), sic_povm(3), standard_mubs(3).subset([1, 2])):
+            assert not design.vectors.flags.writeable
+
+
+class TestSubset:
+    def test_groups_and_counts(self):
+        mubs, sic = standard_mubs(4), sic_povm(4)
+        sub = mubs.subset([3, 0])
+        assert sub.count == 2 and sub.vectors.shape == (8, 4)
+        np.testing.assert_array_equal(sub.vectors, np.concatenate([mubs.groups[3], mubs.groups[0]]))
+        assert sub.indices == (3, 0) and sub.provenance == "standard[4,1]"
+        part = sic.subset(range(2, 5))
+        assert part.count == 3 and part.indices == (2, 3, 4)
+        assert part.labels == sic.labels[2:5]
+        np.testing.assert_array_equal(part.vectors, sic.vectors[2:5])
+        assert mubs.indices is None and sic.indices is None
+
+    def test_generator_read_once(self):
+        mubs = standard_mubs(3)
+        first = mubs.subset(i for i in (0, 1))
+        second = mubs.subset(i for i in (2, 3))
+        assert first.provenance == "standard[1,2]" and first.indices == (0, 1)
+        assert second.provenance == "standard[3,4]" and second.indices == (2, 3)
+        np.testing.assert_array_equal(second.vectors, mubs.vectors[6:])
+
+    @pytest.mark.parametrize("indices", [[-1], [0, 0], [4], [1, 2, 1]])
+    def test_bad_indices(self, indices):
+        with pytest.raises(ValueError):
+            standard_mubs(3).subset(indices)
+        with pytest.raises(ValueError):
+            sic_povm(2).subset(indices)

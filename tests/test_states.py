@@ -207,6 +207,15 @@ class TestDetect:
         own = compute_bound_record(other, OPTS)
         assert detect(rho, CorrelationSpec(other), own).verdict is Verdict.INCONCLUSIVE
 
+    def test_subsets_from_generators_mismatch(self):
+        # each generator is read once, so the two pairs of bases keep their
+        # own provenance and the record of one cannot judge the other
+        mubs = standard_mubs(3)
+        record = compute_bound_record(mubs.subset(i for i in (0, 1)), OPTS)
+        spec = CorrelationSpec(mubs.subset(i for i in (2, 3)))
+        with pytest.raises(DesignMismatchError):
+            detect(werner_state(3, 0), spec, record)
+
 
 def closed_form_record(design, kind):
     lower, upper = design_closed_bounds(design.dim, kind)
