@@ -30,11 +30,10 @@ objective; later sweeps compute only the restarts still active, so each
 ends bit for bit as it would alone.  The batch stops ``stationary`` when
 none is active, or ``max_sweeps`` when one still improves after
 ``OptimizerOptions.max_sweeps``; the best restart is then polished.  The
-d = 4 family scan shares this kernel: it evaluates the (steps - 1)^3
-distinct points of its grid (a coordinate of pi names the same triple as 0)
-with a short sweep budget (60 sweeps of 16 restarts by default), so its
-``per_point`` values are estimates, and confirms its extrema with the full
-lower bound.
+d = 4 family scan shares this kernel: a cheap pass over the (steps - 1)^3
+distinct grid points (a coordinate of pi names the same triple as 0), a
+compass search whose every level is one batched call over all candidates,
+and one full lower bound per distinct candidate.
 
 All optimizers are multistarted from a seeded generator and deterministic:
 a fixed seed yields a bit-identical result.
@@ -47,7 +46,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .core import permutation_operator
 from .designs import Design, _d4_triple, mub_triple_family_d4
@@ -539,7 +537,7 @@ class FamilyScanResult:
     per_point: tuple[tuple[float, float, float, float], ...]
 
 
-def _grid_lower_bounds(params, restarts, seed, tol, max_sweeps, chunk=64):
+def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64):
     """Vectorized per-point lower bounds for a list of (x, y, z) triples.
 
     Every point's starts are drawn before the first chunk, so ``chunk`` only
@@ -555,104 +553,102 @@ def _grid_lower_bounds(params, restarts, seed, tol, max_sweeps, chunk=64):
         hi = min(lo + chunk, count)
         v = _d4_triple(*params[lo:hi].T)[:, None]  # (c, 1, 12, 4)
         obj = _two_vector_iterate(
-            v, e0[lo:hi], f0[lo:hi], minimize=True, tol=tol, max_sweeps=max_sweeps
+            v, e0[lo:hi], f0[lo:hi], minimize=True, tol=1e-11, max_sweeps=max_sweeps
         )[2]
         values[lo:hi] = obj.min(axis=-1)
     return values
+
+
+#: Per-point (restarts, sweeps) of the grid pass and of the refinement, and
+#: the step radius below which a refined candidate stops.
+_GRID_BUDGET, _REFINE_BUDGET, _REFINE_RADIUS = (16, 60), (24, 120), 1e-6
 
 
 def d4_family_scan(
     grid_steps: int = 25,
     opts: OptimizerOptions = DEFAULT_OPTIONS,
     *,
-    grid_restarts: int = 16,
-    grid_sweeps: int = 60,
     refine_count: int = 10,
 ) -> FamilyScanResult:
     """Scan the triple-family lower bound over a uniform grid of [0, pi]^3.
 
     A coordinate of pi names the same triple as 0 (:func:`_params_mod_pi`),
-    so the grid pass evaluates only the (grid_steps - 1)^3 distinct points,
-    each with a fixed, cheap sweep budget (enough to separate basins), and
-    ``per_point`` repeats the 0 faces on the pi faces.  The best
-    ``refine_count`` distinct points for the maximum and the minimum are then
-    refined with a local simplex search of radius pi/grid_steps, and every
-    candidate is confirmed with the full polished optimizer before the
-    extrema are selected.  The reported locations are reduced by
-    :func:`_params_mod_pi`.
+    so the grid pass evaluates only the (grid_steps - 1)^3 distinct points
+    with a cheap sweep budget, and ``per_point`` repeats the 0 faces on the
+    pi faces.  The best ``refine_count`` grid points for the maximum and the
+    minimum are refined together (:func:`_refine`), and each distinct grid
+    or refined candidate, reduced modulo pi, is confirmed once with the full
+    polished optimizer.
     """
     if grid_steps < 9:
         raise ValueError("need at least 9 grid steps per axis")
     axis = np.linspace(0.0, np.pi, grid_steps)
     points = _cube(axis[:-1])
-    values = _grid_lower_bounds(points, grid_restarts, opts.seed, 1e-11, grid_sweeps)
+    values = _grid_lower_bounds(points, opts.seed, *_GRID_BUDGET)
     wrap = np.arange(grid_steps) % (grid_steps - 1)
     on_grid = values.reshape((grid_steps - 1,) * 3)[np.ix_(wrap, wrap, wrap)].ravel()
     per_point = tuple(
         (float(x), float(y), float(z), float(v)) for (x, y, z), v in zip(_cube(axis), on_grid)
     )
+    order = np.argsort(values)
+    top, bottom = order[-refine_count:][::-1], order[:refine_count]
+    signs = np.repeat([-1.0, 1.0], refine_count)
+    refined = _refine(points[np.concatenate([top, bottom])], signs, axis[1], opts.seed)
+    confirmed: dict[tuple, float] = {}
 
-    def refined(point, maximize: bool):
-        sign = -1.0 if maximize else 1.0
-        cache: dict[tuple, float] = {}
+    def pick(grid_pts, refined_pts, sign: float):
+        # near-ties go to a grid point (a refined point back on the grid keeps
+        # its grid flag), then to the lexicographically smallest point
+        found: dict[tuple, tuple[int, tuple]] = {}
+        for flag, pts in ((0, grid_pts), (1, refined_pts)):
+            for p in map(_params_mod_pi, pts):
+                found.setdefault(tuple(np.round(p, 9)), (flag, p))
+        for key, (_, p) in found.items():
+            if key not in confirmed:
+                confirmed[key] = separable_lower_bound(mub_triple_family_d4(*p), opts).value
+        best = min(sign * confirmed[key] for key in found)
+        tied = [(f, key, p) for key, (f, p) in found.items() if sign * confirmed[key] - best <= 1e-8]
+        return min(tied)[2], float(sign * best)
 
-        def objective(p):
-            key = tuple(np.round(p, 12))
-            if key not in cache:
-                cache[key] = float(
-                    _grid_lower_bounds(np.array([p]), 24, opts.seed, 1e-11, 120)[0]
-                )
-            return sign * cache[key]
-
-        res = _scipy_minimize(
-            objective,
-            np.asarray(point),
-            method="Nelder-Mead",
-            bounds=[(0.0, np.pi)] * 3,
-            options={
-                "xatol": 1e-4,
-                "fatol": 1e-9,
-                "initial_simplex": _initial_simplex(point, np.pi / grid_steps),
-                "maxfev": 120,
-            },
-        )
-        return np.clip(res.x, 0.0, np.pi)
-
-    def confirm(point) -> float:
-        triple = mub_triple_family_d4(point[0], point[1], point[2])
-        return separable_lower_bound(triple, opts).value
-
-    def pick(maximize: bool):
-        order = np.argsort(values)
-        cand_idx = order[-refine_count:][::-1] if maximize else order[:refine_count]
-        candidates = [(0, points[i]) for i in cand_idx]
-        candidates += [(1, refined(points[i], maximize)) for i in cand_idx]
-        # confirm every candidate with the polished optimizer; the family has
-        # boundary identifications (y or z shifted by pi permutes columns of
-        # the same basis), so near-ties are resolved to an exact grid point
-        # when one achieves the extremum, lexicographically smallest first
-        confirmed = [(flag, p, confirm(p)) for flag, p in candidates]
-        vals = [v for _, _, v in confirmed]
-        best_val = max(vals) if maximize else min(vals)
-        tied = [
-            (flag, tuple(np.round(p, 9)), p)
-            for flag, p, v in confirmed
-            if abs(v - best_val) <= 1e-8
-        ]
-        tied.sort(key=lambda t: (t[0], t[1]))
-        _, _, p = tied[0]
-        return _params_mod_pi(p), float(best_val)
-
-    argmax_params, l_plus = pick(maximize=True)
-    argmin_params, l_minus = pick(maximize=False)
+    argmax_params, l_plus = pick(points[top], refined[:refine_count], -1.0)
+    argmin_params, l_minus = pick(points[bottom], refined[refine_count:], 1.0)
     return FamilyScanResult(
-        l_minus=l_minus,
-        l_plus=l_plus,
-        argmin_params=argmin_params,
-        argmax_params=argmax_params,
-        grid_steps=grid_steps,
-        per_point=per_point,
+        l_minus=l_minus, l_plus=l_plus, argmin_params=argmin_params,
+        argmax_params=argmax_params, grid_steps=grid_steps, per_point=per_point,
     )
+
+
+def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.ndarray:
+    """Lockstep compass search for the minima of ``sign * L`` from ``points``.
+
+    Each level is one :func:`_grid_lower_bounds` call over the six axis steps
+    (+-r along x, y or z, clipped to [0, pi]; r starts at ``spacing``) of
+    every active candidate, which moves to its best step if that improves
+    its value and else halves r.  It stops below ``_REFINE_RADIUS``, or on
+    reaching a point (modulo pi) that another candidate of its sign holds.
+    """
+    axis_steps = np.concatenate([np.eye(3), -np.eye(3)])
+    points = np.array(points, dtype=float)
+    value = signs * _grid_lower_bounds(points, seed, *_REFINE_BUDGET)
+    radius = np.full(len(points), spacing)
+    active = np.ones(len(points), dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        trial = np.clip(points[idx, None] + radius[idx, None, None] * axis_steps, 0.0, np.pi)
+        trial_value = signs[idx, None] * _grid_lower_bounds(
+            trial.reshape(-1, 3), seed, *_REFINE_BUDGET
+        ).reshape(-1, 6)
+        trial_value[(trial == points[idx, None]).all(axis=-1)] = np.inf  # clipped: no move
+        for i, t, tv in zip(idx, trial, trial_value):
+            best = int(np.argmin(tv))
+            if tv[best] < value[i]:
+                points[i], value[i] = t[best], tv[best]
+                held = np.round(np.mod(points[signs == signs[i]], np.pi), 9)
+                active[i] = (held == np.round(np.mod(t[best], np.pi), 9)).all(axis=1).sum() == 1
+            else:
+                radius[i] /= 2
+                active[i] = radius[i] >= _REFINE_RADIUS
+    return points
 
 
 def _cube(axis: np.ndarray) -> np.ndarray:
@@ -669,12 +665,3 @@ def _params_mod_pi(point) -> tuple[float, float, float]:
     """
     return tuple(float(np.mod(c, np.pi)) for c in point)
 
-
-def _initial_simplex(center, radius):
-    c = np.asarray(center, dtype=float)
-    simplex = [c]
-    for k in range(3):
-        step = np.zeros(3)
-        step[k] = radius if c[k] + radius <= np.pi else -radius
-        simplex.append(np.clip(c + step, 0.0, np.pi))
-    return np.array(simplex)

@@ -77,16 +77,28 @@ def _parse_subset(raw: str) -> list[int]:
     return [i - 1 for i in idx]
 
 
+def _reject(args, flags, reason: str) -> None:
+    """Fail on the first of ``flags`` given on the command line: it would be ignored."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is ignored {reason}")
+
+
 def _resolve_design(args) -> Design:
-    if args.design == "mub" and getattr(args, "x", None) is not None:
+    if args.design == "sic":
+        _reject(args, ("x", "y", "z"), "with --design sic")
+    if args.x is None:
+        _reject(args, ("y", "z"), "without --x")
+    else:
+        _reject(args, ("m", "subset"), "with --x")
         if args.d != 4:
             raise ValueError("the (x, y, z) triple family exists only for d=4")
         return mub_triple_family_d4(args.x, args.y or 0.0, args.z or 0.0)
     full = standard_mubs(args.d) if args.design == "mub" else sic_povm(args.d)
-    if getattr(args, "subset", None):
+    if args.subset is not None:
+        _reject(args, ("m",), "with --subset")
         return full.subset(args.subset)
-    m = getattr(args, "m", None)
-    return full if m is None else full.subset(range(m))
+    return full if args.m is None else full.subset(range(args.m))
 
 
 def _load_state(path):
@@ -232,6 +244,12 @@ def cmd_correlate(args) -> int:
 def cmd_bounds(args) -> int:
     opts = _options(args)
     if args.family_scan:
+        if args.design != "mub" or args.d != 4:
+            raise ValueError(f"--design {args.design} --d {args.d} is ignored with --family-scan, "
+                             "which scans the d=4 MUB triple family")
+        _reject(args, ("m", "subset", "x", "y", "z"), "with --family-scan")
+        if args.all_subsets:
+            raise ValueError("--all-subsets is ignored with --family-scan")
         result = d4_family_scan(args.grid_steps, opts)
         if args.format == "csv":
             _emit_csv(
@@ -249,6 +267,7 @@ def cmd_bounds(args) -> int:
             })
         return 0
     if args.all_subsets:
+        _reject(args, ("subset",), "with --all-subsets, which enumerates every subset of size --m")
         if _resolve_design(args).kind != "sic":
             raise ValueError("--all-subsets enumerates SIC subsets; use --design sic")
         if args.m is None:

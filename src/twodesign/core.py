@@ -22,12 +22,10 @@ MAX_TOTAL_DIM = 64
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances used by structural validation and identity checks."""
+    """Numeric tolerances used by structural validation of states."""
 
-    structural: float = 1e-10        # hermiticity / trace / overlap checks
-    identity: float = 1e-12          # exact algebraic identities
+    structural: float = 1e-10        # hermiticity / trace checks
     psd_floor: float = -1e-9         # smallest admissible eigenvalue of a state
-    unit_norm: float = 1e-12         # vector normalization
 
 
 DEFAULT_TOLS = Tolerances()

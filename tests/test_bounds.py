@@ -20,6 +20,7 @@ from twodesign import (
     standard_mubs,
     subset_bound_spectrum,
 )
+from twodesign import bounds
 from twodesign.bounds import (
     ProductState,
     _params_mod_pi,
@@ -373,15 +374,24 @@ class TestTripleFamilyBounds:
         )
 
     def test_small_scan_recovers_extrema(self):
-        res = d4_family_scan(
-            9, OptimizerOptions(seed=0, restarts=64), grid_restarts=8, refine_count=3
-        )
+        res = d4_family_scan(9, OptimizerOptions(seed=0, restarts=64), refine_count=3)
         assert abs(res.l_plus - 0.5) < 5e-3
         assert abs(res.l_minus - 0.25) < 5e-3
         assert len(res.per_point) == 9**3
 
-    def test_pi_faces_repeat_zero_faces(self):
-        res = d4_family_scan(9, OPTS, refine_count=1)
+    def test_off_grid_extrema_are_refined(self):
+        # on a 10-step grid neither extremum is a grid point; the best grid
+        # points read 0.25190 and 0.46761, so only the refinement reaches them
+        res = d4_family_scan(10, OptimizerOptions(seed=0, restarts=64), refine_count=1)
+        assert abs(res.l_minus - 0.25) < 1e-6
+        assert abs(res.l_plus - 0.5) < 1e-6
+        half = np.pi / 2
+        for at, want in ((res.argmin_params, (half, half, half)), (res.argmax_params, (half, 0, 0))):
+            gap = (np.subtract(at, want) + half) % np.pi - half  # distance modulo pi
+            assert np.abs(gap).max() < 1e-3, at
+
+    def test_pi_faces_repeat_zero_faces(self, scan9):
+        res, _ = scan9
         grid = np.array(res.per_point).reshape(9, 9, 9, 4)
         values = grid[..., 3]
         for axis in range(3):
@@ -390,3 +400,25 @@ class TestTripleFamilyBounds:
         assert abs(res.l_minus - 0.25) < 1e-12 and abs(res.l_plus - 0.5) < 1e-12
         assert res.argmin_params == pytest.approx((np.pi / 2,) * 3, abs=1e-12)
         assert res.argmax_params == pytest.approx((np.pi / 2, 0.0, 0.0), abs=1e-12)
+
+    def test_each_point_confirmed_once(self, scan9):
+        # both extrema of the 9-step grid are grid points; refinement returns
+        # to them, and each distinct point is confirmed once
+        _, confirmations = scan9
+        assert confirmations <= 2
+
+
+@pytest.fixture(scope="module")
+def scan9():
+    """``d4_family_scan(9, OPTS, refine_count=1)`` and its number of confirmations."""
+    calls = []
+    real = bounds.separable_lower_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "separable_lower_bound", counted)
+        res = d4_family_scan(9, OPTS, refine_count=1)
+    return res, len(calls)

@@ -1,6 +1,9 @@
 """Command-line surface: output schemas, round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,19 @@ class TestPinnedOutputs:
         if case["argv"][0] == "bounds":
             payload = {k: v for k, v in payload.items() if k not in ("argmin", "argmax")}
         assert_same_json(payload, case["output"])
+
+
+class TestImports:
+    def test_imports_without_scipy(self):
+        # numpy is the only numerical dependency; ``None`` in sys.modules
+        # makes any import of scipy raise
+        code = 'import sys; sys.modules["scipy"] = None; import twodesign, twodesign.cli'
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDesignsCommand:
@@ -162,6 +178,40 @@ class TestBoundsCommand:
         )
         assert code == 1
         assert "grid steps" in json.loads(err)["message"]
+
+
+IGNORED_FLAGS = [
+    (["bounds", "--design", "sic", "--d", "2", "--m", "2", "--subset", "1,3", "--all-subsets"],
+     "--subset"),
+    (["designs", "show", "--design", "sic", "--d", "2", "--x", "1"], "--x"),
+    (["designs", "show", "--design", "sic", "--d", "2", "--y", "1"], "--y"),
+    (["designs", "show", "--design", "sic", "--d", "2", "--z", "1"], "--z"),
+    (["designs", "show", "--design", "mub", "--d", "4", "--y", "1"], "--y"),
+    (["designs", "show", "--design", "mub", "--d", "4", "--z", "1"], "--z"),
+    (["designs", "show", "--design", "mub", "--d", "4", "--x", "1", "--m", "2"], "--m"),
+    (["designs", "show", "--design", "mub", "--d", "4", "--x", "1", "--subset", "1,2"],
+     "--subset"),
+    (["designs", "show", "--design", "mub", "--d", "3", "--m", "2", "--subset", "1,2"], "--m"),
+    (["bounds", "--design", "sic", "--d", "4", "--family-scan"], "--design sic --d 4"),
+    (["bounds", "--design", "mub", "--d", "3", "--family-scan"], "--design mub --d 3"),
+    (["bounds", "--design", "mub", "--d", "4", "--m", "2", "--family-scan"], "--m"),
+    (["bounds", "--design", "mub", "--d", "4", "--subset", "1,2", "--family-scan"], "--subset"),
+    (["bounds", "--design", "mub", "--d", "4", "--x", "1", "--family-scan"], "--x"),
+    (["bounds", "--design", "mub", "--d", "4", "--all-subsets", "--family-scan"], "--all-subsets"),
+]
+
+
+class TestIgnoredFlags:
+    """A flag the command would not use is an error that names it, not a no-op."""
+
+    @pytest.mark.parametrize(
+        "argv, flag", IGNORED_FLAGS, ids=[" ".join(argv) for argv, _ in IGNORED_FLAGS]
+    )
+    def test_ignored_flag_is_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        message = json.loads(err)["message"]
+        assert message.startswith(f"{flag} is ignored"), message
 
 
 class TestDetectCommand:
