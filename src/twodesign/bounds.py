@@ -35,6 +35,12 @@ distinct grid points (a coordinate of pi names the same triple as 0), a
 compass search whose every level is one batched call over all candidates,
 and one full lower bound per distinct candidate.
 
+A subset enumeration runs both optimizers only on the first subset of
+each orbit of the design's symmetry group (the unitaries and
+anti-unitaries that permute its vectors up to phases, found from the
+triple products).  Every other subset's states are the representative's
+moved by a group element and re-evaluated on its own vectors.
+
 All optimizers are multistarted from a seeded generator and deterministic:
 a fixed seed yields a bit-identical result.
 """
@@ -489,13 +495,117 @@ class SubsetSpectrum:
     per_subset: tuple[BoundRecord, ...]
 
 
+def _symmetry_group(v: np.ndarray):
+    """The unitaries and anti-unitaries that map the vectors ``v`` onto themselves.
+
+    Returns ``(perms, unitaries, anti)``: element g sends a state x to
+    ``U_g x``, or to ``U_g conj(x)`` where ``anti[g]``, and vector i to
+    ``c_i v[perms[g, i]]`` with ``|c_i| = 1``.  Such a map keeps every triple
+    product T(i, j, k) = <v_i|v_j><v_j|v_k><v_k|v_i> (unitary) or conjugates
+    all of them (anti-unitary).  The search is breadth-first over partial
+    permutations: once vectors 0 and 1 have their images, the products
+    T(0, b, k) with the earlier vectors b leave a few images for each vector
+    k.  Each complete permutation's U is the unitary polar factor of
+    M = sum_i c_i |v[perms[i]]><s_i| (s = v, or conj(v) for an anti-unitary;
+    c_i from the Gram entries with vector 0, which never vanish in a SIC
+    set), kept only if it is unitary and maps every vector within 1e-12.
+    Vectors that do not span the space leave M singular, and no element.
+    """
+    n, d = v.shape
+    gram = v.conj() @ v.T
+    triple = gram[:, :, None] * gram[None, :, :] * gram.T[:, None, :]
+    perms, anti = [], []
+    for conj in (False, True):
+        target = triple[0].conj() if conj else triple[0]
+        partial = np.arange(n)[:, None]
+        for k in range(1, n):
+            got = triple[partial[:, :1, None], partial[:, :, None], np.arange(n)]
+            ok = (np.abs(got - target[:k, k, None]) < 1e-9).all(axis=1)
+            ok &= (partial[:, :, None] != np.arange(n)).all(axis=1)
+            rows, images = np.nonzero(ok)
+            partial = np.concatenate([partial[rows], images[:, None]], axis=1)
+        perms.append(partial)
+        anti.append(np.full(len(partial), conj))
+    perms, anti = np.concatenate(perms), np.concatenate(anti)
+    s = np.where(anti[:, None, None], v.conj(), v)
+    # <s_0|s_i> <v[perms[i]]|v[perms[0]]> is the phase of c_i (c_0 = 1)
+    phase = np.where(anti[:, None], gram[0].conj(), gram[0]) * gram[perms, perms[:, :1]]
+    target = (phase / np.abs(phase))[..., None] * v[perms]
+    m = np.swapaxes(target, 1, 2) @ s.conj()
+    lam, vec = np.linalg.eigh(np.swapaxes(m.conj(), 1, 2) @ m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unitaries = m @ (vec / np.sqrt(lam)[:, None, :]) @ np.swapaxes(vec.conj(), 1, 2)
+        maps = np.abs(s @ np.swapaxes(unitaries, 1, 2) - target).max(axis=(1, 2)) <= 1e-12
+        gram_u = unitaries @ np.swapaxes(unitaries.conj(), 1, 2)
+        keep = maps & (np.abs(gram_u - np.eye(d)).max(axis=(1, 2)) <= 1e-12)
+    return perms[keep], unitaries[keep], anti[keep]
+
+
+def _orbits(combos: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives of the rows of ``combos`` under ``perms``.
+
+    ``combos`` holds sorted index rows (below 256) in lexicographic order.  Walking them
+    in that order, each row not yet reached is a representative; its images
+    under every element are looked up at once.  Returns, per row, the index
+    of its representative and of an element mapping the representative onto
+    the row.
+    """
+    def keys(rows):
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
+        return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+    table = keys(combos)
+    source = np.full(len(combos), -1)
+    element = np.zeros(len(combos), dtype=int)
+    for k in range(len(combos)):
+        if source[k] >= 0:
+            continue
+        source[k] = k
+        reached, first = np.unique(
+            np.searchsorted(table, keys(np.sort(perms[:, combos[k]], axis=1))), return_index=True
+        )
+        fresh = source[reached] < 0
+        source[reached[fresh]] = k
+        element[reached[fresh]] = first[fresh]
+    return source, element
+
+
+def _mapped_record(rep: BoundRecord, design: Design, label: str, u, anti) -> BoundRecord:
+    """``rep``'s states moved by the symmetry (u, anti) and re-evaluated on ``design``."""
+    def move(x):
+        return _canonical_vector(u @ (x.conj() if anti else x))
+
+    e, f, top = move(rep.argmin.e), move(rep.argmin.f), move(rep.argmax)
+    vc = design.vectors.conj()
+    return replace(
+        rep,
+        subset_or_params=label,
+        lower=float(np.sum(_amps_sq(vc, e) * _amps_sq(vc, f))),
+        upper=_quartic(vc, top),
+        argmin=ProductState(e, f),
+        argmax=top,
+        provenance=design.provenance,
+        indices=design.indices,
+    )
+
+
 def subset_bound_spectrum(
     sic: Design, subset_size: int, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> SubsetSpectrum:
-    """Bounds for every ``subset_size``-subset of a SIC set, plus their extrema."""
+    """Bounds for every ``subset_size``-subset of a SIC set, plus their extrema.
+
+    A subset's bounds do not change under a unitary or anti-unitary that
+    maps the whole set onto itself (:func:`_symmetry_group`), so both
+    optimizers run only on the first subset of each orbit, in lexicographic
+    order, with the seed that its index draws.  Every other subset gets
+    that record's minimizer and maximizer moved by the symmetry, with
+    ``lower`` and ``upper`` re-evaluated on its own vectors.
+    """
     total = sic.count
     if subset_size > total:
         raise ValueError("subset size exceeds the design")
+    if subset_size < 1:
+        raise ValueError(f"subset size must be at least 1, got {subset_size}")
     n_subsets = math.comb(total, subset_size)
     if n_subsets > opts.subset_cap:
         raise EnumerationCapExceededError(
@@ -504,14 +614,17 @@ def subset_bound_spectrum(
         )
     combos = list(itertools.combinations(range(total), subset_size))
     seeds = np.random.SeedSequence(opts.seed).spawn(len(combos))
-    records = [
-        compute_bound_record(
-            sic.subset(combo),
-            replace(opts, seed=seed),
-            label="(" + ",".join(str(i + 1) for i in combo) + ")",
-        )
-        for combo, seed in zip(combos, seeds)
-    ]
+    perms, unitaries, anti = _symmetry_group(sic.vectors)
+    source, element = _orbits(np.array(combos), perms)
+    records = []
+    for k, combo in enumerate(combos):
+        design = sic.subset(combo)
+        label = "(" + ",".join(str(i + 1) for i in combo) + ")"
+        if source[k] == k:
+            records.append(compute_bound_record(design, replace(opts, seed=seeds[k]), label=label))
+        else:
+            g = element[k]
+            records.append(_mapped_record(records[source[k]], design, label, unitaries[g], anti[g]))
     lows = [r.lower for r in records]
     highs = [r.upper for r in records]
     return SubsetSpectrum(
@@ -582,6 +695,8 @@ def d4_family_scan(
     """
     if grid_steps < 9:
         raise ValueError("need at least 9 grid steps per axis")
+    if refine_count < 1:
+        raise ValueError(f"need refine_count >= 1, got {refine_count}")
     axis = np.linspace(0.0, np.pi, grid_steps)
     points = _cube(axis[:-1])
     values = _grid_lower_bounds(points, opts.seed, *_GRID_BUDGET)

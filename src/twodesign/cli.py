@@ -81,7 +81,7 @@ def _reject(args, flags, reason: str) -> None:
     """Fail on the first of ``flags`` given on the command line: it would be ignored."""
     for flag in flags:
         if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} is ignored {reason}")
+            raise ValueError(f"--{flag.replace('_', '-')} is ignored {reason}")
 
 
 def _resolve_design(args) -> Design:
@@ -203,6 +203,7 @@ def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_designs(args) -> int:
+    _reject(args, ("conjugate_second",), "by designs, which print and verify the design itself")
     design = _resolve_design(args)
     if args.action == "show":
         payload = {"kind": design.kind, "dim": design.dim}
@@ -231,7 +232,7 @@ def cmd_designs(args) -> int:
 def cmd_correlate(args) -> int:
     rho = _load_state(args.state)
     design = _resolve_design(args)
-    spec = CorrelationSpec(design, conjugate_second=args.conjugate_second)
+    spec = CorrelationSpec(design, conjugate_second=bool(args.conjugate_second))
     value = correlation_sum(rho, spec)
     _emit_json({
         "value": value,
@@ -242,6 +243,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _reject(args, ("conjugate_second",), "by bounds: conjugating the second party's vectors "
+            "leaves the separable bounds unchanged")
     opts = _options(args)
     if args.family_scan:
         if args.design != "mub" or args.d != 4:
@@ -250,7 +253,7 @@ def cmd_bounds(args) -> int:
         _reject(args, ("m", "subset", "x", "y", "z"), "with --family-scan")
         if args.all_subsets:
             raise ValueError("--all-subsets is ignored with --family-scan")
-        result = d4_family_scan(args.grid_steps, opts)
+        result = d4_family_scan(25 if args.grid_steps is None else args.grid_steps, opts)
         if args.format == "csv":
             _emit_csv(
                 ["x", "y", "z", "lower"],
@@ -266,6 +269,7 @@ def cmd_bounds(args) -> int:
                 "points": len(result.per_point),
             })
         return 0
+    _reject(args, ("grid_steps",), "without --family-scan")
     if args.all_subsets:
         _reject(args, ("subset",), "with --all-subsets, which enumerates every subset of size --m")
         if _resolve_design(args).kind != "sic":
@@ -400,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--x", type=float, default=None, help="triple-family x (d=4)")
             p.add_argument("--y", type=float, default=None, help="triple-family y (d=4)")
             p.add_argument("--z", type=float, default=None, help="triple-family z (d=4)")
-            p.add_argument("--conjugate-second", action="store_true",
+            p.add_argument("--conjugate-second", action="store_true", default=None,
                            help="second party measures conjugated vectors")
             p.add_argument("--restarts", type=int, default=None)
 
@@ -420,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="enumerate every subset of size --m")
     p.add_argument("--family-scan", action="store_true",
                    help="scan the d=4 triple family lower bound")
-    p.add_argument("--grid-steps", type=int, default=25)
+    p.add_argument("--grid-steps", type=int, default=None,
+                   help="grid points per axis of --family-scan (default 25)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("detect", help="classify a state against design bounds")

@@ -226,6 +226,105 @@ class TestSubsetSpectrum:
         with pytest.raises(EnumerationCapExceededError):
             subset_bound_spectrum(sic_povm(4), 8, OptimizerOptions(seed=0, subset_cap=100))
 
+    @pytest.mark.parametrize("size", [0, 10])
+    def test_subset_size_out_of_range(self, size):
+        with pytest.raises(ValueError, match="subset size"):
+            subset_bound_spectrum(sic_povm(3), size, OPTS)
+
+
+def _label(combo):
+    return "(" + ",".join(str(i + 1) for i in combo) + ")"
+
+
+def _reaches(record, design):
+    """|argmin value - lower| and |argmax value - upper| on ``design``."""
+    e, f, top = record.argmin.e, record.argmin.f, record.argmax
+    return abs(objective(design, e, f) - record.lower), abs(objective(design, top, top) - record.upper)
+
+
+class TestSubsetOrbits:
+    """Subsets are enumerated by orbit of the design's symmetry group."""
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_matches_full_enumeration(self, size):
+        sic = sic_povm(3)
+        spec = subset_bound_spectrum(sic, size, OPTS)
+        combos = list(itertools.combinations(range(9), size))
+        seeds = np.random.SeedSequence(OPTS.seed).spawn(len(combos))
+        full = [
+            compute_bound_record(sic.subset(c), OptimizerOptions(seed=s), label=_label(c))
+            for c, s in zip(combos, seeds)
+        ]
+        assert [r.subset_or_params for r in spec.per_subset] == [r.subset_or_params for r in full]
+        assert [r.indices for r in spec.per_subset] == [r.indices for r in full]
+        assert [r.provenance for r in spec.per_subset] == [r.provenance for r in full]
+        for got, want in zip(spec.per_subset, full):
+            assert abs(got.lower - want.lower) < 1e-12 and abs(got.upper - want.upper) < 1e-12
+        source, _ = bounds._orbits(np.array(combos), bounds._symmetry_group(sic.vectors)[0])
+        reps = np.flatnonzero(source == np.arange(len(combos)))
+        assert len(reps) == 2
+        for k in reps:
+            got, want = spec.per_subset[k], full[k]
+            assert (got.lower, got.upper, got.restarts, got.converged) == (
+                want.lower, want.upper, want.restarts, want.converged
+            )
+            np.testing.assert_array_equal(got.argmin.e, want.argmin.e)
+            np.testing.assert_array_equal(got.argmin.f, want.argmin.f)
+            np.testing.assert_array_equal(got.argmax, want.argmax)
+
+    @pytest.mark.parametrize("d, size", [(2, 2), (3, 3), (3, 4), (3, 5), (3, 8)])
+    def test_moved_states_reach_their_values(self, d, size):
+        sic = sic_povm(d)
+        spec = subset_bound_spectrum(sic, size, OPTS)
+        source, _ = bounds._orbits(
+            np.array([r.indices for r in spec.per_subset]), bounds._symmetry_group(sic.vectors)[0]
+        )
+        for k, record in enumerate(spec.per_subset):
+            design = sic.subset(record.indices)
+            assert max(_reaches(record, design)) < 1e-12, record.subset_or_params
+            if source[k] != k:
+                # a moved record carries the objective at its own states, bit for bit
+                vc, e, f = design.vectors.conj(), record.argmin.e, record.argmin.f
+                assert record.lower == float(np.sum(bounds._amps_sq(vc, e) * bounds._amps_sq(vc, f)))
+                assert record.upper == bounds._quartic(vc, record.argmax)
+
+    @pytest.mark.parametrize("d, order", [(2, 24), (3, 432), (4, 96)])
+    def test_group_orders_and_unitaries(self, d, order):
+        v = sic_povm(d).vectors
+        perms, unitaries, anti = bounds._symmetry_group(v)
+        assert len(perms) == order and len({tuple(p) for p in perms}) == order
+        assert anti.sum() == order // 2
+        assert (perms == np.arange(len(v))).all(axis=1).any()
+        eye = np.eye(d)
+        for p, u, a in zip(perms, unitaries, anti):
+            assert np.abs(u @ u.conj().T - eye).max() < 1e-12
+            moved = (v.conj() if a else v) @ u.T
+            # each moved vector is its image up to a phase
+            overlap = np.abs(np.sum(v[p].conj() * moved, axis=1))
+            assert np.abs(overlap - 1).max() < 1e-12
+
+    def test_orbit_counts(self):
+        perms = bounds._symmetry_group(sic_povm(3).vectors)[0]
+        counts = []
+        for size in range(3, 10):
+            combos = np.array(list(itertools.combinations(range(9), size)))
+            source, _ = bounds._orbits(combos, perms)
+            counts.append(int((source == np.arange(len(combos))).sum()))
+        assert counts == [2, 2, 2, 2, 1, 1, 1]
+
+    def test_permutation_outside_the_group_changes_a_value(self):
+        sic = sic_povm(3)
+        perms = bounds._symmetry_group(sic.vectors)[0]
+        upper = {r.indices: r.upper for r in subset_bound_spectrum(sic, 4, OPTS).per_subset}
+        assert sorted({round(u, 5) for u in upper.values()}) == [1.2927, 1.39952]
+        for p in perms:  # every element keeps every value
+            assert max(abs(upper[tuple(sorted(p[list(s)]))] - u) for s, u in upper.items()) < 1e-12
+        swap = np.arange(9)
+        swap[[0, 8]] = [8, 0]
+        assert not (perms == swap).all(axis=1).any()
+        change = max(abs(upper[tuple(sorted(swap[list(s)]))] - u) for s, u in upper.items())
+        assert change > 1e-3
+
 
 class TestPublishedTableDefects:
     """Cells where correct global optimization contradicts the printed values.
@@ -400,6 +499,15 @@ class TestTripleFamilyBounds:
         assert abs(res.l_minus - 0.25) < 1e-12 and abs(res.l_plus - 0.5) < 1e-12
         assert res.argmin_params == pytest.approx((np.pi / 2,) * 3, abs=1e-12)
         assert res.argmax_params == pytest.approx((np.pi / 2, 0.0, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_refine_count_checked_before_the_grid(self, monkeypatch, count):
+        def grid_pass(*args, **kwargs):
+            raise AssertionError("the grid pass ran")
+
+        monkeypatch.setattr(bounds, "_grid_lower_bounds", grid_pass)
+        with pytest.raises(ValueError, match="refine_count"):
+            d4_family_scan(9, OPTS, refine_count=count)
 
     def test_each_point_confirmed_once(self, scan9):
         # both extrema of the 9-step grid are grid points; refinement returns

@@ -198,6 +198,11 @@ IGNORED_FLAGS = [
     (["bounds", "--design", "mub", "--d", "4", "--subset", "1,2", "--family-scan"], "--subset"),
     (["bounds", "--design", "mub", "--d", "4", "--x", "1", "--family-scan"], "--x"),
     (["bounds", "--design", "mub", "--d", "4", "--all-subsets", "--family-scan"], "--all-subsets"),
+    (["bounds", "--design", "mub", "--d", "2", "--grid-steps", "3"], "--grid-steps"),
+    (["bounds", "--design", "mub", "--d", "2", "--m", "2", "--conjugate-second"],
+     "--conjugate-second"),
+    (["designs", "show", "--design", "sic", "--d", "2", "--conjugate-second"],
+     "--conjugate-second"),
 ]
 
 
