@@ -30,10 +30,12 @@ objective; later sweeps compute only the restarts still active, so each
 ends bit for bit as it would alone.  The batch stops ``stationary`` when
 none is active, or ``max_sweeps`` when one still improves after
 ``OptimizerOptions.max_sweeps``; the best restart is then polished.  The
-d = 4 family scan shares this kernel: a cheap pass over the (steps - 1)^3
-distinct grid points (a coordinate of pi names the same triple as 0), a
-compass search whose every level is one batched call over all candidates,
-and one full lower bound per distinct candidate.
+d = 4 family scan shares this kernel.  Its lower bound is the same on each
+orbit of a group of order 4 (a shift by pi, complex conjugation and the
+swap of y and z; :func:`_orbit_key`), so it evaluates one point per
+orbit: in a cheap pass over the grid, in a compass search whose every
+level is one batched call over all candidates, and in one full lower
+bound per distinct candidate.
 
 A subset enumeration runs both optimizers only on the first subset of
 each orbit of the design's symmetry group (the unitaries and
@@ -651,25 +653,30 @@ class FamilyScanResult:
 
 
 def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64):
-    """Vectorized per-point lower bounds for a list of (x, y, z) triples.
+    """Vectorized lower bounds for (n, 3) family points, one per point.
 
-    Every point's starts are drawn before the first chunk, so ``chunk`` only
-    caps the memory of the per-restart design stacks, never a value.
+    Only the distinct orbit representatives (:func:`_orbit_key`) are
+    evaluated, in key order, and each point reads its representative's
+    value.  Every representative's starts are drawn before the first chunk,
+    so ``chunk`` only caps the memory of the per-restart design stacks,
+    never a value.
     """
-    params = np.asarray(params, dtype=float)
-    count = params.shape[0]
+    keys, reps = _orbit_key(params)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    reps = reps[first]
+    count = reps.shape[0]
     rng = np.random.default_rng(seed)
     e0 = _random_unit(rng, (count, restarts, 4))
     f0 = _random_unit(rng, (count, restarts, 4))
     values = np.zeros(count)
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
-        v = _d4_triple(*params[lo:hi].T)[:, None]  # (c, 1, 12, 4)
+        v = _d4_triple(*reps[lo:hi].T)[:, None]  # (c, 1, 12, 4)
         obj = _two_vector_iterate(
             v, e0[lo:hi], f0[lo:hi], minimize=True, tol=1e-11, max_sweeps=max_sweeps
         )[2]
         values[lo:hi] = obj.min(axis=-1)
-    return values
+    return values[inverse]
 
 
 #: Per-point (restarts, sweeps) of the grid pass and of the refinement, and
@@ -685,45 +692,44 @@ def d4_family_scan(
 ) -> FamilyScanResult:
     """Scan the triple-family lower bound over a uniform grid of [0, pi]^3.
 
-    A coordinate of pi names the same triple as 0 (:func:`_params_mod_pi`),
-    so the grid pass evaluates only the (grid_steps - 1)^3 distinct points
-    with a cheap sweep budget, and ``per_point`` repeats the 0 faces on the
-    pi faces.  The best ``refine_count`` grid points for the maximum and the
-    minimum are refined together (:func:`_refine`), and each distinct grid
-    or refined candidate, reduced modulo pi, is confirmed once with the full
-    polished optimizer.
+    The grid pass evaluates one point per orbit (:func:`_orbit_key`) with a
+    cheap sweep budget, and ``per_point`` gives every grid point its orbit's
+    value.  The best ``refine_count`` orbits for the maximum and the
+    minimum, each entered at its first grid point, are refined together
+    (:func:`_refine`); each distinct orbit among the grid and refined
+    candidates is confirmed once with the full polished optimizer, at its
+    first candidate reduced modulo pi.
     """
     if grid_steps < 9:
         raise ValueError("need at least 9 grid steps per axis")
     if refine_count < 1:
         raise ValueError(f"need refine_count >= 1, got {refine_count}")
     axis = np.linspace(0.0, np.pi, grid_steps)
-    points = _cube(axis[:-1])
+    points = _cube(axis)
     values = _grid_lower_bounds(points, opts.seed, *_GRID_BUDGET)
-    wrap = np.arange(grid_steps) % (grid_steps - 1)
-    on_grid = values.reshape((grid_steps - 1,) * 3)[np.ix_(wrap, wrap, wrap)].ravel()
     per_point = tuple(
-        (float(x), float(y), float(z), float(v)) for (x, y, z), v in zip(_cube(axis), on_grid)
+        (float(x), float(y), float(z), float(v)) for (x, y, z), v in zip(points, values)
     )
-    order = np.argsort(values)
+    first = np.unique(_orbit_key(points)[0], axis=0, return_index=True)[1]
+    order = first[np.argsort(values[first], kind="stable")]
     top, bottom = order[-refine_count:][::-1], order[:refine_count]
     signs = np.repeat([-1.0, 1.0], refine_count)
     refined = _refine(points[np.concatenate([top, bottom])], signs, axis[1], opts.seed)
     confirmed: dict[tuple, float] = {}
 
     def pick(grid_pts, refined_pts, sign: float):
-        # near-ties go to a grid point (a refined point back on the grid keeps
-        # its grid flag), then to the lexicographically smallest point
+        # near-ties go to a grid point (a refined point back on the grid's
+        # orbit keeps its grid flag), then to the lexicographically smallest point
         found: dict[tuple, tuple[int, tuple]] = {}
         for flag, pts in ((0, grid_pts), (1, refined_pts)):
-            for p in map(_params_mod_pi, pts):
-                found.setdefault(tuple(np.round(p, 9)), (flag, p))
+            for key, p in zip(map(tuple, _orbit_key(pts)[0]), pts):
+                found.setdefault(key, (flag, _params_mod_pi(p)))
         for key, (_, p) in found.items():
             if key not in confirmed:
                 confirmed[key] = separable_lower_bound(mub_triple_family_d4(*p), opts).value
         best = min(sign * confirmed[key] for key in found)
-        tied = [(f, key, p) for key, (f, p) in found.items() if sign * confirmed[key] - best <= 1e-8]
-        return min(tied)[2], float(sign * best)
+        tied = [(f, p) for key, (f, p) in found.items() if sign * confirmed[key] - best <= 1e-8]
+        return min(tied)[1], float(sign * best)
 
     argmax_params, l_plus = pick(points[top], refined[:refine_count], -1.0)
     argmin_params, l_minus = pick(points[bottom], refined[refine_count:], 1.0)
@@ -738,9 +744,11 @@ def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.n
 
     Each level is one :func:`_grid_lower_bounds` call over the six axis steps
     (+-r along x, y or z, clipped to [0, pi]; r starts at ``spacing``) of
-    every active candidate, which moves to its best step if that improves
-    its value and else halves r.  It stops below ``_REFINE_RADIUS``, or on
-    reaching a point (modulo pi) that another candidate of its sign holds.
+    every active candidate; a step clipped onto the candidate itself is not
+    evaluated.  A candidate moves to its best step if that improves its
+    value and else halves r.  It stops below ``_REFINE_RADIUS``, or on
+    reaching an orbit (:func:`_orbit_key`) that another candidate of its
+    sign holds.
     """
     axis_steps = np.concatenate([np.eye(3), -np.eye(3)])
     points = np.array(points, dtype=float)
@@ -750,16 +758,16 @@ def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.n
     while active.any():
         idx = np.flatnonzero(active)
         trial = np.clip(points[idx, None] + radius[idx, None, None] * axis_steps, 0.0, np.pi)
-        trial_value = signs[idx, None] * _grid_lower_bounds(
-            trial.reshape(-1, 3), seed, *_REFINE_BUDGET
-        ).reshape(-1, 6)
-        trial_value[(trial == points[idx, None]).all(axis=-1)] = np.inf  # clipped: no move
+        moved = (trial != points[idx, None]).any(axis=-1)
+        trial_value = np.full(moved.shape, np.inf)
+        trial_value[moved] = _grid_lower_bounds(trial[moved], seed, *_REFINE_BUDGET)
+        trial_value = np.where(moved, signs[idx, None] * trial_value, np.inf)
         for i, t, tv in zip(idx, trial, trial_value):
             best = int(np.argmin(tv))
             if tv[best] < value[i]:
                 points[i], value[i] = t[best], tv[best]
-                held = np.round(np.mod(points[signs == signs[i]], np.pi), 9)
-                active[i] = (held == np.round(np.mod(t[best], np.pi), 9)).all(axis=1).sum() == 1
+                held = _orbit_key(points[signs == signs[i]])[0]
+                active[i] = (held == _orbit_key(t[best])[0]).all(axis=1).sum() == 1
             else:
                 radius[i] /= 2
                 active[i] = radius[i] >= _REFINE_RADIUS
@@ -771,12 +779,41 @@ def _cube(axis: np.ndarray) -> np.ndarray:
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def _params_mod_pi(point) -> tuple[float, float, float]:
-    """Each of (x, y, z) reduced into [0, pi), pi itself mapping to 0.
+def _mod_pi(points) -> np.ndarray:
+    """Coordinates reduced into [0, pi); a value that rounds to pi at 1e-9 maps to 0.
 
     Shifting any one coordinate by pi only permutes vectors within one basis
-    of the triple, so the reduced point names the same triple; the reported
-    extrema then do not depend on the grid.
+    of the triple, so the reduced point names the same triple.
     """
-    return tuple(float(np.mod(c, np.pi)) for c in point)
+    r = np.mod(points, np.pi)
+    return np.where(np.round(r, 9) == np.round(np.pi, 9), 0.0, r)
 
+
+def _params_mod_pi(point) -> tuple[float, float, float]:
+    """One (x, y, z) reduced by :func:`_mod_pi`; the reported extrema then do
+    not depend on the grid."""
+    return tuple(float(c) for c in _mod_pi(np.asarray(point, dtype=float)))
+
+
+def _orbit_key(points) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit keys and representatives of (n, 3) family points.
+
+    Two anti-unitaries move the whole triple at (x, y, z) onto another
+    family triple, and the objective is invariant when a design is moved by
+    one: complex conjugation gives the triple at (pi - x, pi - y, pi - z)
+    (within b3, vectors 1<->2 and 3<->4 swap), and s -> P conj(s), with P
+    swapping basis states 0<->2 and 1<->3, gives the one at (x, z, y)
+    (vector i goes to ``[2, 3, 0, 1, 4, 5, 6, 7, 11, 10, 9, 8][i]``, up to a
+    phase).  With the shift by pi they generate a group of order 4 on the
+    points modulo pi, on whose orbits L is constant.  The representative is
+    the image, reduced by :func:`_mod_pi`, that is lexicographically
+    smallest after rounding to 1e-9; the key is that rounding.  Returns
+    ``(keys, reps)``, both (n, 3).
+    """
+    p = _mod_pi(np.asarray(points, dtype=float).reshape(-1, 3))
+    q = _mod_pi(np.pi - p)
+    images = np.stack([p, p[:, [0, 2, 1]], q, q[:, [0, 2, 1]]], axis=1)
+    keys = np.round(images, 9)
+    least = np.lexsort(keys[..., ::-1].transpose(2, 0, 1), axis=-1)[:, 0]
+    rows = np.arange(p.shape[0])
+    return keys[rows, least], images[rows, least]

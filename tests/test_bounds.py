@@ -23,6 +23,8 @@ from twodesign import (
 from twodesign import bounds
 from twodesign.bounds import (
     ProductState,
+    _cube,
+    _orbit_key,
     _params_mod_pi,
     _polish_two_vector,
     _random_unit,
@@ -38,6 +40,12 @@ def objective(design, e, f):
     """Direct evaluation of the correlation sum at a product state."""
     v = design.vectors
     return float(np.sum(np.abs(v.conj() @ e) ** 2 * np.abs(v.conj() @ f) ** 2))
+
+
+def ray_distances(a, b):
+    """Largest entry distance between the projectors of rows of ``a`` and of ``b``."""
+    pa, pb = (np.einsum("ni,nj->nij", v, v.conj()) for v in (a, b))
+    return np.abs(pa[:, None] - pb[None, :]).max(axis=(2, 3))
 
 
 class TestLowerBound:
@@ -450,17 +458,14 @@ class TestTripleFamilyBounds:
 
     def test_pi_shift_keeps_the_triple(self):
         # shifting x, y or z from 0 to pi permutes vectors within one basis
-        def rays(params):
-            v = mub_triple_family_d4(*params).vectors
-            return np.einsum("ni,nj->nij", v, v.conj())
-
         for k in range(3):
             at0 = [0.3, 1.1, 2.0]
             at0[k] = 0.0
             at_pi = list(at0)
             at_pi[k] = np.pi
-            a, b = rays(at0), rays(at_pi)
-            dist = np.abs(a[:, None] - b[None, :]).max(axis=(2, 3))
+            dist = ray_distances(
+                mub_triple_family_d4(*at0).vectors, mub_triple_family_d4(*at_pi).vectors
+            )
             assert dist.min(axis=1).max() < 1e-12
             assert dist.min(axis=0).max() < 1e-12
 
@@ -471,6 +476,80 @@ class TestTripleFamilyBounds:
         assert _params_mod_pi((np.pi + 0.25, -0.5, 0.1)) == pytest.approx(
             (0.25, np.pi - 0.5, 0.1), abs=1e-15
         )
+
+    def test_orbit_key_sends_near_pi_to_zero(self):
+        half = np.pi / 2
+        assert _params_mod_pi((np.pi - 1e-12, 0.0, half)) == (0.0, 0.0, half)
+        assert _params_mod_pi((-1e-12, 0.0, half)) == (0.0, 0.0, half)
+        near = np.array([[np.pi - 1e-12, 0.0, half], [1e-12, np.pi, half], [0.0, 0.0, half]])
+        keys, reps = _orbit_key(near)
+        np.testing.assert_array_equal(keys, np.tile(keys[:1], (3, 1)))
+        assert np.abs(reps - [0.0, 0.0, half]).max() < 1e-11
+
+    def test_orbit_maps_move_the_rays(self):
+        # complex conjugation: (x, y, z) -> (pi - x, pi - y, pi - z), b3's
+        # vectors 1<->2 and 3<->4 swapped; s -> P conj(s), P swapping basis
+        # states 0<->2 and 1<->3: (x, y, z) -> (x, z, y)
+        p_swap = np.eye(4)[[2, 3, 0, 1]]
+        conj = [0, 1, 2, 3, 4, 5, 6, 7, 9, 8, 11, 10]
+        swap = [2, 3, 0, 1, 4, 5, 6, 7, 11, 10, 9, 8]
+        for x, y, z in np.random.default_rng(3).uniform(0.0, np.pi, (4, 3)):
+            v = mub_triple_family_d4(x, y, z).vectors
+            for moved, image, perm in (
+                (v.conj(), (np.pi - x, np.pi - y, np.pi - z), conj),
+                (v.conj() @ p_swap.T, (x, z, y), swap),
+            ):
+                dist = ray_distances(moved, mub_triple_family_d4(*image).vectors)
+                assert np.diagonal(dist[:, perm]).max() < 1e-12
+
+    def test_orbit_shares_the_floor(self):
+        opts = OptimizerOptions(seed=0, restarts=64)
+
+        def floor(*p):
+            return separable_lower_bound(mub_triple_family_d4(*p), opts).value
+
+        not_a_symmetry = []
+        for x, y, z in np.random.default_rng(3).uniform(0.0, np.pi, (4, 3)):
+            images = [(x, y, z), (x, z, y)]
+            images += [(np.pi - a, np.pi - b, np.pi - c) for a, b, c in images]
+            values = [floor(*p) for p in images]
+            assert max(values) - min(values) < 1e-12
+            assert len({tuple(k) for k in _orbit_key(np.array(images))[0]}) == 1
+            not_a_symmetry.append(abs(floor(np.pi - x, y, z) - values[0]))
+        # (pi - x, y, z) is no symmetry; at one point it moves L by only 7.9e-5
+        assert max(not_a_symmetry) > 1e-3
+
+    @pytest.mark.parametrize("steps, orbits", [(9, 150), (25, 3614)])
+    def test_grid_pass_evaluates_one_point_per_orbit(self, monkeypatch, steps, orbits):
+        sent = []
+
+        def kernel(v, e, f, **kwargs):
+            sent.append(v.shape[0])
+            return None, None, np.zeros(e.shape[:-1]), None, None
+
+        monkeypatch.setattr(bounds, "_two_vector_iterate", kernel)
+        points = _cube(np.linspace(0.0, np.pi, steps))
+        values = bounds._grid_lower_bounds(points, 0, 2, 1)
+        assert sum(sent) == orbits
+        assert values.shape == (steps**3,)
+
+    def test_compass_skips_clipped_steps(self, monkeypatch):
+        # at (pi/2, 0, 0) the steps y - r and z - r clip onto the candidate
+        start = np.array([[np.pi / 2, 0.0, 0.0]])
+        sent = []
+
+        def grid_pass(params, *args):
+            sent.append(np.array(params))
+            return np.zeros(len(params))
+
+        monkeypatch.setattr(bounds, "_grid_lower_bounds", grid_pass)
+        out = bounds._refine(start, np.array([-1.0]), np.pi / 8, 0)
+        np.testing.assert_array_equal(out, start)
+        levels = sent[1:]
+        assert len(levels) == 19  # r halves from pi/8 to below 1e-6
+        for trial in levels:
+            assert trial.shape == (4, 3)
+            assert not (trial == start).all(axis=1).any()
 
     def test_small_scan_recovers_extrema(self):
         res = d4_family_scan(9, OptimizerOptions(seed=0, restarts=64), refine_count=3)
@@ -508,6 +587,17 @@ class TestTripleFamilyBounds:
         monkeypatch.setattr(bounds, "_grid_lower_bounds", grid_pass)
         with pytest.raises(ValueError, match="refine_count"):
             d4_family_scan(9, OPTS, refine_count=count)
+
+    def test_per_point_constant_on_orbits(self, scan9):
+        res, _ = scan9
+        grid = np.array(res.per_point)
+        keys = _orbit_key(grid[:, :3])[0]
+        _, orbit = np.unique(keys, axis=0, return_inverse=True)
+        assert orbit.max() + 1 == 150
+        for k in range(150):
+            values = grid[orbit == k, 3]
+            assert (values == values[0]).all()
+        assert grid[:, 3].min() >= 0.25 - 1e-12
 
     def test_each_point_confirmed_once(self, scan9):
         # both extrema of the 9-step grid are grid points; refinement returns
