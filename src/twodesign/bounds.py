@@ -9,30 +9,35 @@ objective is a Hermitian quadratic form in e, so each half-step is solved
 exactly by an extremal eigenvector; alternating these exact updates is
 monotone and converges fast.
 
-The upper bound reduces to a single-vector maximization of
-``F(e) = sum_v |<v|e>|^4`` (arithmetic-geometric mean argument), which the
-same fixed-point ascent solves.  It is also proved from above: F(e) is
-``<e e|Q|e e>`` with ``Q = sum_v (|v><v|)^(x2)``, so no product state exceeds
-the level-2 eigenvalue ``lambda = lambda_max(P_sym Q P_sym)`` (Doherty &
-Wehner, arXiv:1210.5048), the result's ``certificate``.  Once the ascent's
-best restart comes within ``CERTIFY_WINDOW`` of lambda, a Gauss-Newton step
-on the residual ``R^(1/2) (e x e)``, ``R = lambda P_sym - P_sym Q P_sym``
-(whose zeros are exactly the maximizers when lambda is attained), tries to
-reach lambda; success ends the search.  Each result names why it stopped:
-``certified`` (the maximizer reaches lambda within ``CERTIFY_TOL``),
-``stationary`` (every restart stopped improving) or ``max_sweeps``; only the
-last counts as not converged.
+One kernel, :func:`_two_vector_iterate`, runs the alternating updates on a
+batch of seeded restarts with stacked eigendecompositions, for both
+bounds.  Each restart retires at the first sweep whose improvement falls
+below ``OptimizerOptions.tol`` and keeps its state and objective; later
+sweeps compute only the restarts still active, so each ends bit for bit
+as it would alone.  The batch stops ``stationary`` when none is active, or
+``max_sweeps`` when one still improves after ``OptimizerOptions.max_sweeps``;
+the best restart is then polished.
 
-The lower bound runs the alternating updates on a batch of restarts with
-stacked eigendecompositions.  Each restart retires at the first sweep whose
-improvement falls below ``OptimizerOptions.tol`` and keeps its state and
-objective; later sweeps compute only the restarts still active, so each
-ends bit for bit as it would alone.  The batch stops ``stationary`` when
-none is active, or ``max_sweeps`` when one still improves after
-``OptimizerOptions.max_sweeps``; the best restart is then polished.  The
-d = 4 family scan shares this kernel.  Its lower bound is the same on each
-orbit of a group of order 4 (a shift by pi, complex conjugation and the
-swap of y and z; :func:`_orbit_key`), so it evaluates one point per
+The upper bound equals the maximum of ``F(e) = sum_v |<v|e>|^4``
+(arithmetic-geometric mean argument).  The kernel, maximizing and started
+at f = e, climbs it: its half-steps are then the fixed-point ascent
+``a -> top eigenvector of sum_v |<v|a>|^2 |v><v|`` (e_1 = a_1, f_1 = a_2,
+e_2 = a_3, ...), so one sweep is two ascent steps.  The maximum is also
+proved from above: F(e) is ``<e e|Q|e e>`` with ``Q = sum_v (|v><v|)^(x2)``,
+so no product state exceeds the level-2 eigenvalue
+``lambda = lambda_max(P_sym Q P_sym)`` (Doherty & Wehner, arXiv:1210.5048),
+the result's ``certificate``.  Once the best active restart comes within
+``CERTIFY_WINDOW`` of lambda, a Gauss-Newton step from its f on the
+residual ``R^(1/2) (e x e)``, ``R = lambda P_sym - P_sym Q P_sym`` (whose
+zeros are exactly the maximizers when lambda is attained), tries to reach
+lambda; success is the kernel's one early stop.  Each upper bound names why it
+stopped: ``certified`` (the maximizer reaches lambda within
+``CERTIFY_TOL``), ``stationary`` or ``max_sweeps``; only the last counts as
+not converged.
+
+The d = 4 family scan shares the kernel.  Its lower bound is the same on
+each orbit of a group of order 4 (a shift by pi, complex conjugation and
+the swap of y and z; :func:`_orbit_key`), so it evaluates one point per
 orbit: in a cheap pass over the grid, in a compass search whose every
 level is one batched call over all candidates, and in one full lower
 bound per distinct candidate.
@@ -64,21 +69,31 @@ CERTIFY_WINDOW = 1e-4
 #: and it proves the maximum when it reaches lambda this closely.
 CERTIFY_TOL = 1e-12
 _CERTIFY_ITERATIONS = 16
+#: Largest subset enumeration :func:`subset_bound_spectrum` runs.
+SUBSET_CAP = 20000
 
 
 class EnumerationCapExceededError(RuntimeError):
-    """Requested subset enumeration is larger than the configured cap."""
+    """Requested subset enumeration is larger than ``SUBSET_CAP``."""
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Multistart settings; ``restarts=None`` picks 64 for d <= 3, 256 above."""
+    """Multistart settings; ``restarts=None`` picks 64 for d <= 3, 256 above.
+
+    ``restarts`` (when given) and ``max_sweeps`` must be at least 1.
+    """
 
     restarts: int | None = None
     seed: int | np.random.SeedSequence = 0
     tol: float = 1e-12
     max_sweeps: int = 2000
-    subset_cap: int = 20000
+
+    def __post_init__(self):
+        if self.restarts is not None and self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps}")
 
     def restarts_for(self, dim: int) -> int:
         if self.restarts is not None:
@@ -189,15 +204,18 @@ def _eig_extreme(m: np.ndarray, maximize: bool) -> np.ndarray:
     return vecs[..., :, -1] if maximize else vecs[..., :, 0]
 
 
-def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps):
+def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None):
     """Alternating exact eigenvector updates on batched starts.
 
     ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``.
     Each restart retires at the first sweep whose improvement is below
     ``tol`` and keeps its e, f and objective; later sweeps compute only the
     active restarts, so every restart ends exactly as it would run alone.
-    Returns the final (e, f), per-item objective, per-item stationarity
-    (retired within ``max_sweeps``) and per-item sweeps used.
+    With ``certify`` (a :class:`_Level2Certificate`, when maximizing), each
+    sweep whose best active restart lies within ``CERTIFY_WINDOW`` of
+    ``certify.value`` tries a certificate step from its f; one that succeeds
+    ends the call.  Returns the final (e, f), per-item objective, per-item
+    stationarity (retired within ``max_sweeps``) and per-item sweeps used.
     """
     batch, d = e.shape[:-1], e.shape[-1]
     count = math.prod(batch)
@@ -222,6 +240,11 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps):
         w_f = _amps_sq(v1c, f)
         obj = np.sum(w_e * w_f, axis=-1)
         obj_out[live] = obj
+        if certify is not None:
+            best = int(np.argmax(obj))
+            if obj[best] >= certify.value - CERTIFY_WINDOW and certify.step(f[best]):
+                e_out[live], f_out[live], used[live] = e, f, sweep + 1
+                break
         done = sign * (prev - obj) < tol
         if done.any():
             retired = live[done]
@@ -244,37 +267,6 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps):
     )
 
 
-def _single_vector_ascend(v1, e, *, tol, max_sweeps, certify=None):
-    """Fixed-point ascent on sum_v |<v|e>|^4 via the top eigenvector map.
-
-    With ``certify`` (a :class:`_Level2Certificate`), each sweep whose best
-    restart lies within ``CERTIFY_WINDOW`` of ``certify.value`` ends with a
-    certificate step on that restart.  A step that succeeds ends the ascent;
-    its vector is returned last (``None`` when no step succeeded).
-    """
-    v1c = v1.conj()
-    prev = np.full(e.shape[:-1], -np.inf)
-    sweeps_used = max_sweeps
-    delta = np.full(e.shape[:-1], np.inf)
-    obj = prev
-    certified = None
-    for sweep in range(max_sweeps):
-        w = _amps_sq(v1c, e)
-        e = _eig_extreme(_weighted_frame(w, v1, v1c), maximize=True)
-        w = _amps_sq(v1c, e)
-        obj = np.sum(w * w, axis=-1)
-        delta = obj - prev
-        prev = obj
-        if certify is not None:
-            best = int(np.argmax(obj))
-            if obj[best] >= certify.value - CERTIFY_WINDOW:
-                certified = certify.step(e[best])
-        if certified is not None or (delta < tol).all():
-            sweeps_used = sweep + 1
-            break
-    return e, obj, delta, sweeps_used, certified
-
-
 class _Level2Certificate:
     """The level-2 eigenvalue bound of one design and its certificate step.
 
@@ -282,26 +274,29 @@ class _Level2Certificate:
     Q = sum_v (|v><v|)^(x2); Q is supported on the symmetric subspace, so
     this is lambda_max(Q).  ``root`` is R^(1/2) with R = lambda P_sym - Q,
     positive semidefinite, and ||R^(1/2)(e x e)||^2 = lambda - F(e) for unit e.
+    ``maximizer`` is the vector of the first :meth:`step` that reached
+    lambda, ``None`` before.
     """
 
     def __init__(self, v: np.ndarray):
         n, d = v.shape
-        self.v_conj = v.conj()
+        self.v = v
+        self.maximizer = None
         pairs = (v[:, :, None] * v[:, None, :]).reshape(n, d * d)  # rows v x v
         q = pairs.T @ pairs.conj()
         self.value = float(np.linalg.eigvalsh(q)[-1])
         vals, vecs = np.linalg.eigh(self.value * (np.eye(d * d) + permutation_operator(d)) / 2 - q)
         self.root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
-    def step(self, e: np.ndarray) -> np.ndarray | None:
+    def step(self, e: np.ndarray) -> bool:
         """Gauss-Newton on R^(1/2)(e x e) over the unit sphere, from ``e``.
 
         The step moves in the complex orthogonal complement of ``e`` (the
         sphere's tangent space without the phase) and renormalizes; it is
         repeated while the gap to ``value`` shrinks.  At a flat maximum the
         residual is quadratic in the distance, and each step only quarters
-        it.  Returns the best phase-canonical vector if it reaches ``value``
-        within ``CERTIFY_TOL``, else ``None``.
+        it.  If the best phase-canonical vector reaches ``value`` within
+        ``CERTIFY_TOL``, it becomes ``maximizer``; returns whether it did.
         """
         d = e.shape[0]
         best, best_gap = None, np.inf
@@ -317,16 +312,19 @@ class _Level2Certificate:
             )[0]
             e = dirs @ step + e
             e = _canonical_vector(e / np.linalg.norm(e))
-            gap = self.value - _quartic(self.v_conj, e)
+            gap = self.value - _product_value(self.v, e, e)
             if gap >= best_gap:
                 break
             best, best_gap = e, gap
-        return best if best_gap <= CERTIFY_TOL else None
+        if best_gap <= CERTIFY_TOL:
+            self.maximizer = best
+        return best_gap <= CERTIFY_TOL
 
 
-def _quartic(v_conj: np.ndarray, e: np.ndarray) -> float:
-    w = _amps_sq(v_conj, e)
-    return float(np.sum(w * w))
+def _product_value(v: np.ndarray, e: np.ndarray, f: np.ndarray) -> float:
+    """``sum_v |<v|e>|^2 |<v|f>|^2`` for the design vectors ``v`` at one product state."""
+    vc = v.conj()
+    return float(np.sum(_amps_sq(vc, e) * _amps_sq(vc, f)))
 
 
 def _canonical_vector(vec: np.ndarray) -> np.ndarray:
@@ -387,9 +385,8 @@ def separable_lower_bound(
     e_b = _resolve_degenerate(_weighted_frame(w_f, v, v.conj()), minimize=True)
     w_e = _amps_sq(v.conj(), e_b)
     f_b = _resolve_degenerate(_weighted_frame(w_e, v, v.conj()), minimize=True)
-    value = float(np.sum(_amps_sq(v.conj(), e_b) * _amps_sq(v.conj(), f_b)))
     return LowerBoundResult(
-        value=value,
+        value=_product_value(v, e_b, f_b),
         minimizer=ProductState(_canonical_vector(e_b), _canonical_vector(f_b)),
         stop_reason="stationary" if stationary.all() else "max_sweeps",
         restarts=restarts,
@@ -402,9 +399,9 @@ def separable_upper_bound(
 ) -> UpperBoundResult:
     """Maximize the correlation sum over product states, proved by lambda.
 
-    Runs the single-vector ascent on ``sum_v |<v|e>|^4`` (the product-state
-    maximum equals this by the mean inequality) until the certificate step
-    reaches the level-2 eigenvalue, every restart is stationary, or
+    Runs the kernel from e = f (on ``sum_v |<v|e>|^4``, which the product-state
+    maximum equals by the mean inequality) until the certificate step reaches
+    the level-2 eigenvalue, every restart is stationary, or
     ``opts.max_sweeps`` is spent; the latter two polish the best restart.
     """
     v = design.vectors
@@ -412,31 +409,28 @@ def separable_upper_bound(
     restarts = opts.restarts_for(design.dim)
     rng = np.random.default_rng(opts.seed)
     e0 = _random_unit(rng, (restarts, design.dim))
-    e, obj, delta, sweeps, e_b = _single_vector_ascend(
-        v[None], e0, tol=opts.tol, max_sweeps=opts.max_sweeps, certify=cert
+    _, f, obj, stationary, used = _two_vector_iterate(
+        v[None], e0, e0, minimize=False, tol=opts.tol, max_sweeps=opts.max_sweeps, certify=cert
     )
-    if e_b is not None:
-        stop_reason = "certified"
+    if cert.maximizer is not None:
+        stop_reason, e_b = "certified", cert.maximizer
     else:
-        stop_reason = "stationary" if (delta < opts.tol).all() else "max_sweeps"
-        polished = _single_vector_ascend(
-            v[None], e[None, int(np.argmax(obj))], tol=1e-15, max_sweeps=5000
-        )[0]
-        e_b = _canonical_vector(polished[0])
+        stop_reason = "stationary" if stationary.all() else "max_sweeps"
+        f_b = f[int(np.argmax(obj))]
+        e_b = _canonical_vector(_polish_two_vector(v, f_b, f_b, minimize=False)[1])
         # tie-break among the top eigenspace only when it preserves the
         # quartic objective; otherwise keep the polished maximizer
         w = _amps_sq(v.conj(), e_b)
         cand = _resolve_degenerate(_weighted_frame(w, v, v.conj()), minimize=False)
-        if _quartic(v.conj(), cand) >= _quartic(v.conj(), e_b) - 1e-12:
+        if _product_value(v, cand, cand) >= _product_value(v, e_b, e_b) - 1e-12:
             e_b = cand
-    value = _quartic(v.conj(), e_b)
     return UpperBoundResult(
-        value=value,
+        value=_product_value(v, e_b, e_b),
         maximizer=e_b,
         certificate=cert.value,
         stop_reason=stop_reason,
         restarts=restarts,
-        sweeps=sweeps,
+        sweeps=int(used.max()),
     )
 
 
@@ -578,12 +572,11 @@ def _mapped_record(rep: BoundRecord, design: Design, label: str, u, anti) -> Bou
         return _canonical_vector(u @ (x.conj() if anti else x))
 
     e, f, top = move(rep.argmin.e), move(rep.argmin.f), move(rep.argmax)
-    vc = design.vectors.conj()
     return replace(
         rep,
         subset_or_params=label,
-        lower=float(np.sum(_amps_sq(vc, e) * _amps_sq(vc, f))),
-        upper=_quartic(vc, top),
+        lower=_product_value(design.vectors, e, f),
+        upper=_product_value(design.vectors, top, top),
         argmin=ProductState(e, f),
         argmax=top,
         provenance=design.provenance,
@@ -609,10 +602,10 @@ def subset_bound_spectrum(
     if subset_size < 1:
         raise ValueError(f"subset size must be at least 1, got {subset_size}")
     n_subsets = math.comb(total, subset_size)
-    if n_subsets > opts.subset_cap:
+    if n_subsets > SUBSET_CAP:
         raise EnumerationCapExceededError(
-            f"{n_subsets} subsets exceed the cap {opts.subset_cap}; "
-            "raise subset_cap or evaluate sampled subsets explicitly"
+            f"{n_subsets} subsets exceed the cap {SUBSET_CAP}; "
+            "evaluate sampled subsets explicitly"
         )
     combos = list(itertools.combinations(range(total), subset_size))
     seeds = np.random.SeedSequence(opts.seed).spawn(len(combos))

@@ -26,6 +26,7 @@ from .bounds import (
     OptimizerOptions,
     DEFAULT_OPTIONS,
     SubsetSpectrum,
+    _product_value,
     closed_form_mub_upper,
     design_closed_bounds,
     separable_lower_bound,
@@ -34,7 +35,7 @@ from .bounds import (
 )
 from .core import DimensionMismatchError, _check_densities
 from .correlations import CorrelationSpec
-from .designs import Design, mub_triple_family_d4, sic_povm, standard_mubs
+from .designs import mub_triple_family_d4, sic_povm, standard_mubs
 from .states import _check_bounds_match, _classify, _family_matrices
 from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
 
@@ -104,12 +105,6 @@ def _row(
         passed=bool(passed),
         extra=extra,
     )
-
-
-def _product_value(design: Design, e: np.ndarray, f: np.ndarray) -> float:
-    """Direct evaluation of ``sum_v |<v|e>|^2 |<v|f>|^2`` at one product state."""
-    v = design.vectors.conj()
-    return float(np.sum(np.abs(v @ e) ** 2 * np.abs(v @ f) ** 2))
 
 
 def _isotropic_crossing(u_minus: float, subset_size: int) -> float:
@@ -252,8 +247,8 @@ def _hesse_certificates(spectrum: SubsetSpectrum) -> dict[str, float]:
     lows, highs = [], []
     for rec in spectrum.per_subset:
         sub = sic.subset(rec.indices)
-        lows.append(_product_value(sub, rec.argmin.e, rec.argmin.f))
-        highs.append(_product_value(sub, rec.argmax, rec.argmax))
+        lows.append(_product_value(sub.vectors, rec.argmin.e, rec.argmin.f))
+        highs.append(_product_value(sub.vectors, rec.argmax, rec.argmax))
     return {"L-": min(lows), "L+": max(lows), "U+": max(highs), "U-": min(highs)}
 
 
@@ -299,12 +294,12 @@ def _reproduce_table_v(opts: OptimizerOptions) -> TableReport:
         rows.append(_row(
             {"cell": f"L({mt},4)", "subset": label}, lo.value, l_ref, LOWER_TOL,
             published=SIC_D4_PUBLISHED.get((mt, "L")),
-            certificate=_product_value(sub, lo.minimizer.e, lo.minimizer.f),
+            certificate=_product_value(sub.vectors, lo.minimizer.e, lo.minimizer.f),
         ))
         rows.append(_row(
             {"cell": f"U({mt},4)", "subset": label}, up.value, u_ref, LOWER_TOL,
             published=SIC_D4_PUBLISHED.get((mt, "U")),
-            certificate=_product_value(sub, up.maximizer, up.maximizer),
+            certificate=_product_value(sub.vectors, up.maximizer, up.maximizer),
         ))
     return TableReport("V", LOWER_TOL, tuple(rows))
 
@@ -397,6 +392,8 @@ def scan_family(
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if stop < start:
+        raise ValueError(f"stop {stop} is below start {start}")
     _check_bounds_match(spec, bounds)
     if d != spec.dim:
         raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")

@@ -22,6 +22,7 @@ from twodesign import (
 )
 from twodesign import bounds
 from twodesign.bounds import (
+    SUBSET_CAP,
     ProductState,
     _cube,
     _orbit_key,
@@ -32,6 +33,7 @@ from twodesign.bounds import (
 )
 from twodesign.core import random_state_vector
 from twodesign.correlations import CorrelationSpec
+from twodesign.designs import Design
 
 OPTS = OptimizerOptions(seed=0)
 
@@ -140,6 +142,34 @@ class TestUpperStopReasons:
         assert res.sweeps == 3
         assert not res.converged
 
+    @pytest.mark.parametrize("sweeps", [1, 5, 20])
+    def test_kernel_from_equal_starts_is_the_ascent(self, sweeps):
+        # maximizing from f = e, each half-step is one step of the ascent
+        # a -> top eigenvector of sum_v |<v|a>|^2 |v><v|, so k sweeps end at
+        # the 2k-th ascent iterate
+        designs = (
+            sic_povm(3).subset(range(4)), sic_povm(3).subset(range(5)),
+            sic_povm(4).subset(range(7)), standard_mubs(3).subset([0, 1]),
+        )
+        for design in designs:
+            v = design.vectors
+            a = e0 = _random_unit(np.random.default_rng(0), (8, v.shape[1]))
+            for _ in range(2 * sweeps):
+                w = np.abs(a @ v.conj().T) ** 2
+                a = np.linalg.eigh(np.einsum("bn,ni,nj->bij", w, v, v.conj()))[1][..., -1]
+            # tol -inf: no restart retires before its k-th sweep
+            f = _two_vector_iterate(
+                v[None], e0, e0, minimize=False, tol=-np.inf, max_sweeps=sweeps
+            )[1]
+            assert ray_distances(a, f).diagonal().max() < 1e-12, design.provenance
+
+    def test_d4_mub_triple_stationary(self):
+        design = standard_mubs(4).subset(range(3))
+        res = separable_upper_bound(design, OPTS)
+        assert res.stop_reason == "stationary" and res.converged
+        assert abs(res.value - 1.5) < 1e-12
+        assert abs(objective(design, res.maximizer, res.maximizer) - res.value) < 1e-12
+
 
 class TestLowerStopReasons:
     def test_batch_matches_single_starts(self):
@@ -231,8 +261,11 @@ class TestSubsetSpectrum:
         assert abs(spec.u_plus - 4 / 3) < 1e-6
 
     def test_enumeration_cap(self):
-        with pytest.raises(EnumerationCapExceededError):
-            subset_bound_spectrum(sic_povm(4), 8, OptimizerOptions(seed=0, subset_cap=100))
+        # C(25, 12) = 5,200,300 subsets; the cap is checked before any work
+        vectors = _random_unit(np.random.default_rng(0), (25, 5))
+        assert math.comb(25, 12) > SUBSET_CAP
+        with pytest.raises(EnumerationCapExceededError, match=str(SUBSET_CAP)):
+            subset_bound_spectrum(Design("sic", 5, vectors), 12, OPTS)
 
     @pytest.mark.parametrize("size", [0, 10])
     def test_subset_size_out_of_range(self, size):
@@ -292,9 +325,9 @@ class TestSubsetOrbits:
             assert max(_reaches(record, design)) < 1e-12, record.subset_or_params
             if source[k] != k:
                 # a moved record carries the objective at its own states, bit for bit
-                vc, e, f = design.vectors.conj(), record.argmin.e, record.argmin.f
-                assert record.lower == float(np.sum(bounds._amps_sq(vc, e) * bounds._amps_sq(vc, f)))
-                assert record.upper == bounds._quartic(vc, record.argmax)
+                v, e, f = design.vectors, record.argmin.e, record.argmin.f
+                assert record.lower == bounds._product_value(v, e, f)
+                assert record.upper == bounds._product_value(v, record.argmax, record.argmax)
 
     @pytest.mark.parametrize("d, order", [(2, 24), (3, 432), (4, 96)])
     def test_group_orders_and_unitaries(self, d, order):
@@ -420,6 +453,11 @@ class TestOptimizerProperties:
             f = random_state_vector(3, rng)
             val = float(np.sum(np.abs(v.conj() @ e) ** 2 * np.abs(v.conj() @ f) ** 2))
             assert rec.lower - 1e-8 <= val <= rec.upper + 1e-8
+
+    @pytest.mark.parametrize("field, value", [("restarts", 0), ("restarts", -1), ("max_sweeps", 0)])
+    def test_options_validation(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            OptimizerOptions(**{field: value})
 
     def test_product_state_validation(self):
         with pytest.raises(ValueError):

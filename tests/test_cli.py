@@ -179,6 +179,15 @@ class TestBoundsCommand:
         assert code == 1
         assert "grid steps" in json.loads(err)["message"]
 
+    def test_zero_restarts_is_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--design", "sic", "--d", "3", "--m", "3", "--restarts", "0"
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == "restarts must be at least 1, got 0"
+
 
 IGNORED_FLAGS = [
     (["bounds", "--design", "sic", "--d", "2", "--m", "2", "--subset", "1,3", "--all-subsets"],
@@ -345,6 +354,14 @@ class TestScanCommand:
         flip = json.loads(out)["first_flip"]
         assert flip[2] == "EntangledByUpper"
         assert abs(flip[0] - 0.25) < 1e-2
+
+    def test_stop_below_start_is_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "werner", "--design", "mub", "--d", "2", "--m", "3",
+            "--bounds", "closed-form", "--start", "1", "--stop", "0",
+        )
+        assert code == 1 and out == ""
+        assert "below start" in json.loads(err)["message"]
 
 
 class TestTablesCommand:
