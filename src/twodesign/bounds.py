@@ -40,7 +40,8 @@ each orbit of a group of order 4 (a shift by pi, complex conjugation and
 the swap of y and z; :func:`_orbit_key`), so it evaluates one point per
 orbit: in a cheap pass over the grid, in a compass search whose every
 level is one batched call over all candidates, and in one full lower
-bound per distinct candidate.
+bound per distinct candidate.  A maximum candidate's compass step stops
+at its first restart that falls to the candidate's value: it cannot win.
 
 A subset enumeration runs both optimizers only on the first subset of
 each orbit of the design's symmetry group (the unitaries and
@@ -204,7 +205,7 @@ def _eig_extreme(m: np.ndarray, maximize: bool) -> np.ndarray:
     return vecs[..., :, -1] if maximize else vecs[..., :, 0]
 
 
-def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None):
+def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, threshold=None):
     """Alternating exact eigenvector updates on batched starts.
 
     ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``.
@@ -214,8 +215,12 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None):
     With ``certify`` (a :class:`_Level2Certificate`, when maximizing), each
     sweep whose best active restart lies within ``CERTIFY_WINDOW`` of
     ``certify.value`` tries a certificate step from its f; one that succeeds
-    ends the call.  Returns the final (e, f), per-item objective, per-item
-    stationarity (retired within ``max_sweeps``) and per-item sweeps used.
+    ends the call.  With ``threshold`` (minimizing; ``threshold[i]`` for row i
+    of the batch less its last axis), a row retires whole, not stationary,
+    once one of its restarts reaches it: no objective rises, so the row's
+    minimum ends at or below it.  Returns the final (e, f), per-item
+    objective, per-item stationarity (retired within ``max_sweeps``) and
+    per-item sweeps used.
     """
     batch, d = e.shape[:-1], e.shape[-1]
     count = math.prod(batch)
@@ -245,11 +250,15 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None):
             if obj[best] >= certify.value - CERTIFY_WINDOW and certify.step(f[best]):
                 e_out[live], f_out[live], used[live] = e, f, sweep + 1
                 break
-        done = sign * (prev - obj) < tol
+        done = settled = sign * (prev - obj) < tol
+        if threshold is not None:
+            rows = live // batch[-1]
+            cut = np.isin(rows, rows[obj <= threshold[rows]])
+            done, settled = settled | cut, settled & ~cut
         if done.any():
             retired = live[done]
             e_out[retired], f_out[retired] = e[done], f[done]
-            stationary[retired] = True
+            stationary[live[settled]] = True
             used[retired] = sweep + 1
             keep = ~done
             if not shared:
@@ -645,19 +654,23 @@ class FamilyScanResult:
     per_point: tuple[tuple[float, float, float, float], ...]
 
 
-def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64):
+def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64, threshold=None):
     """Vectorized lower bounds for (n, 3) family points, one per point.
 
     Only the distinct orbit representatives (:func:`_orbit_key`) are
     evaluated, in key order, and each point reads its representative's
     value.  Every representative's starts are drawn before the first chunk,
     so ``chunk`` only caps the memory of the per-restart design stacks,
-    never a value.
+    never a value.  An orbit stops once its value reaches the least
+    ``threshold`` (per point) of its points, and then only bounds it.
     """
     keys, reps = _orbit_key(params)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     reps = reps[first]
     count = reps.shape[0]
+    if threshold is not None:
+        least = np.full(count, np.inf)
+        np.minimum.at(least, inverse, threshold)
     rng = np.random.default_rng(seed)
     e0 = _random_unit(rng, (count, restarts, 4))
     f0 = _random_unit(rng, (count, restarts, 4))
@@ -666,7 +679,8 @@ def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64):
         hi = min(lo + chunk, count)
         v = _d4_triple(*reps[lo:hi].T)[:, None]  # (c, 1, 12, 4)
         obj = _two_vector_iterate(
-            v, e0[lo:hi], f0[lo:hi], minimize=True, tol=1e-11, max_sweeps=max_sweeps
+            v, e0[lo:hi], f0[lo:hi], minimize=True, tol=1e-11, max_sweeps=max_sweeps,
+            threshold=None if threshold is None else least[lo:hi],
         )[2]
         values[lo:hi] = obj.min(axis=-1)
     return values[inverse]
@@ -741,7 +755,9 @@ def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.n
     evaluated.  A candidate moves to its best step if that improves its
     value and else halves r.  It stops below ``_REFINE_RADIUS``, or on
     reaching an orbit (:func:`_orbit_key`) that another candidate of its
-    sign holds.
+    sign holds.  A maximum candidate's (sign -1) steps stop once a restart
+    falls to its L: a step's L is a minimum over restarts that never rise,
+    so it then cannot win, and every move is as without the cut.
     """
     axis_steps = np.concatenate([np.eye(3), -np.eye(3)])
     points = np.array(points, dtype=float)
@@ -753,7 +769,8 @@ def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.n
         trial = np.clip(points[idx, None] + radius[idx, None, None] * axis_steps, 0.0, np.pi)
         moved = (trial != points[idx, None]).any(axis=-1)
         trial_value = np.full(moved.shape, np.inf)
-        trial_value[moved] = _grid_lower_bounds(trial[moved], seed, *_REFINE_BUDGET)
+        floor = np.repeat(np.where(signs[idx] < 0, -value[idx], -np.inf), moved.sum(axis=1))
+        trial_value[moved] = _grid_lower_bounds(trial[moved], seed, *_REFINE_BUDGET, threshold=floor)
         trial_value = np.where(moved, signs[idx, None] * trial_value, np.inf)
         for i, t, tv in zip(idx, trial, trial_value):
             best = int(np.argmin(tv))

@@ -74,7 +74,7 @@ def _parse_subset(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad subset spec {raw!r}") from exc
     if any(i < 1 for i in idx):
         raise argparse.ArgumentTypeError("subset indices are 1-based")
-    return [i - 1 for i in idx]
+    return idx
 
 
 def _reject(args, flags, reason: str) -> None:
@@ -97,7 +97,12 @@ def _resolve_design(args) -> Design:
     full = standard_mubs(args.d) if args.design == "mub" else sic_povm(args.d)
     if args.subset is not None:
         _reject(args, ("m",), "with --subset")
-        return full.subset(args.subset)
+        picked = args.subset
+        if not picked or len(set(picked)) != len(picked) or max(picked) > full.count:
+            raise ValueError(f"--subset needs distinct indices in [1, {full.count}], got {picked}")
+        return full.subset([i - 1 for i in picked])
+    if args.m is not None and not 1 <= args.m <= full.count:
+        raise ValueError(f"--m must be in [1, {full.count}], got {args.m}")
     return full if args.m is None else full.subset(range(args.m))
 
 

@@ -25,6 +25,7 @@ from twodesign.bounds import (
     SUBSET_CAP,
     ProductState,
     _cube,
+    _grid_lower_bounds,
     _orbit_key,
     _params_mod_pi,
     _polish_two_vector,
@@ -33,7 +34,7 @@ from twodesign.bounds import (
 )
 from twodesign.core import random_state_vector
 from twodesign.correlations import CorrelationSpec
-from twodesign.designs import Design
+from twodesign.designs import Design, _d4_triple
 
 OPTS = OptimizerOptions(seed=0)
 
@@ -576,7 +577,7 @@ class TestTripleFamilyBounds:
         start = np.array([[np.pi / 2, 0.0, 0.0]])
         sent = []
 
-        def grid_pass(params, *args):
+        def grid_pass(params, *args, **kwargs):
             sent.append(np.array(params))
             return np.zeros(len(params))
 
@@ -642,6 +643,77 @@ class TestTripleFamilyBounds:
         # to them, and each distinct point is confirmed once
         _, confirmations = scan9
         assert confirmations <= 2
+
+
+class _Refining(Exception):
+    """Raised by a stub to stop a scan once the grid pass is done."""
+
+
+def refine_args(steps):
+    """The arguments ``d4_family_scan(steps, OPTS, refine_count=1)`` hands ``_refine``."""
+    seen = []
+
+    def stop(*args):
+        seen.append(args)
+        raise _Refining
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_refine", stop)
+        with pytest.raises(_Refining):
+            d4_family_scan(steps, OPTS, refine_count=1)
+    return seen[0]
+
+
+def uncut_grid_pass(params, *args, threshold=None, **kwargs):
+    """``_grid_lower_bounds`` with the threshold dropped: every orbit runs in full."""
+    return _grid_lower_bounds(params, *args, **kwargs)
+
+
+class TestCompassCut:
+    """A maximum candidate's compass step stops once it cannot win; no move changes."""
+
+    def test_kernel_cuts_only_rows_that_reach_their_threshold(self):
+        # (pi/2, 0, 0) has L = 0.5; the next two are compass steps from it
+        points = np.array([[np.pi / 2, 0, 0], [5 * np.pi / 8, 0, 0], [np.pi / 2, np.pi / 8, 0],
+                           [1.0, 2.0, 0.5]])
+        v = _d4_triple(*points.T)[:, None]
+        rng = np.random.default_rng(0)
+        e0, f0 = _random_unit(rng, (4, 24, 4)), _random_unit(rng, (4, 24, 4))
+        kw = dict(minimize=True, tol=1e-11, max_sweeps=120)
+        plain = _two_vector_iterate(v, e0, f0, **kw)
+        threshold = np.array([0.5, 0.5, -np.inf, plain[2][3].min() - 1e-12])
+        e, f, obj, stationary, used = _two_vector_iterate(v, e0, f0, threshold=threshold, **kw)
+        for row in (2, 3):  # never reach their thresholds
+            for got, want in zip((e, f, obj, stationary, used), plain):
+                np.testing.assert_array_equal(got[row], want[row])
+        for row in (0, 1):
+            assert obj[row].min() <= threshold[row]
+            assert not stationary[row].any()
+            assert used[row].max() < plain[4][row].max()
+
+    @pytest.mark.parametrize("steps", [9, 10])
+    def test_refine_moves_as_without_the_cut(self, monkeypatch, steps):
+        args = refine_args(steps)
+        cut = bounds._refine(*args)
+        monkeypatch.setattr(bounds, "_grid_lower_bounds", uncut_grid_pass)
+        np.testing.assert_array_equal(cut, bounds._refine(*args))
+
+    def test_cut_saves_two_thirds_of_the_maximum_steps(self, monkeypatch):
+        real = bounds._eig_extreme
+        matrices = []
+
+        def counted(m, maximize):
+            matrices.append(math.prod(m.shape[:-2]))
+            return real(m, maximize)
+
+        monkeypatch.setattr(bounds, "_eig_extreme", counted)
+        args = (np.array([[np.pi / 2, 0.0, 0.0]]), np.array([-1.0]), np.pi / 8, 0)
+        out = bounds._refine(*args)
+        with_cut = sum(matrices)
+        matrices.clear()
+        monkeypatch.setattr(bounds, "_grid_lower_bounds", uncut_grid_pass)
+        np.testing.assert_array_equal(out, bounds._refine(*args))
+        assert with_cut <= sum(matrices) / 3, (with_cut, sum(matrices))
 
 
 @pytest.fixture(scope="module")

@@ -188,6 +188,25 @@ class TestBoundsCommand:
         assert payload["error"] == "ValueError"
         assert payload["message"] == "restarts must be at least 1, got 0"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--design", "sic", "--d", "2", "--subset", "1,5"],
+         "--subset needs distinct indices in [1, 4], got [1, 5]"),
+        (["designs", "show", "--design", "sic", "--d", "2", "--subset", "2,2"],
+         "--subset needs distinct indices in [1, 4], got [2, 2]"),
+        (["bounds", "--design", "sic", "--d", "2", "--subset", ","],
+         "--subset needs distinct indices in [1, 4], got []"),
+        (["designs", "show", "--design", "mub", "--d", "3", "--m", "5"],
+         "--m must be in [1, 4], got 5"),
+        (["designs", "show", "--design", "mub", "--d", "3", "--m", "0"],
+         "--m must be in [1, 4], got 0"),
+        (["bounds", "--design", "sic", "--d", "3", "--m", "0", "--all-subsets"],
+         "--m must be in [1, 9], got 0"),
+    ])
+    def test_subset_errors_are_one_based(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
 
 IGNORED_FLAGS = [
     (["bounds", "--design", "sic", "--d", "2", "--m", "2", "--subset", "1,3", "--all-subsets"],
