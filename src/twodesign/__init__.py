@@ -13,7 +13,6 @@ from .core import (
     NotPositiveError,
     NotUnitTraceError,
     ParameterOutOfRangeError,
-    Tolerances,
     UnsupportedDimensionError,
     kron,
     load_density,

@@ -12,7 +12,7 @@ monotone and converges fast.
 One kernel, :func:`_two_vector_iterate`, runs the alternating updates on a
 batch of seeded restarts with stacked eigendecompositions, for both
 bounds.  Each restart retires at the first sweep whose improvement falls
-below ``OptimizerOptions.tol`` and keeps its state and objective; later
+below ``TOL`` and keeps its state and objective; later
 sweeps compute only the restarts still active, so each ends bit for bit
 as it would alone.  The batch stops ``stationary`` when none is active, or
 ``max_sweeps`` when one still improves after ``OptimizerOptions.max_sweeps``;
@@ -70,6 +70,8 @@ CERTIFY_WINDOW = 1e-4
 #: and it proves the maximum when it reaches lambda this closely.
 CERTIFY_TOL = 1e-12
 _CERTIFY_ITERATIONS = 16
+#: A restart retires once a sweep improves its objective by less than this.
+TOL = 1e-12
 #: Largest subset enumeration :func:`subset_bound_spectrum` runs.
 SUBSET_CAP = 20000
 
@@ -87,7 +89,6 @@ class OptimizerOptions:
 
     restarts: int | None = None
     seed: int | np.random.SeedSequence = 0
-    tol: float = 1e-12
     max_sweeps: int = 2000
 
     def __post_init__(self):
@@ -358,10 +359,10 @@ def _resolve_degenerate(m: np.ndarray, minimize: bool) -> np.ndarray:
     return max(cands, key=lambda c: c[0].real)
 
 
-def _polish_two_vector(v1, e, f, *, minimize, max_sweeps=5000):
+def _polish_two_vector(v1, e, f, *, minimize):
     """Deep-converge one candidate: (e, f, objective)."""
     e, f, obj, *_ = _two_vector_iterate(
-        v1[None], e[None], f[None], minimize=minimize, tol=1e-15, max_sweeps=max_sweeps
+        v1[None], e[None], f[None], minimize=minimize, tol=1e-15, max_sweeps=5000
     )
     return e[0], f[0], float(obj[0])
 
@@ -384,7 +385,7 @@ def separable_lower_bound(
     e0 = _random_unit(rng, (restarts, d))
     f0 = _random_unit(rng, (restarts, d))
     e, f, obj, stationary, used = _two_vector_iterate(
-        v[None], e0, f0, minimize=True, tol=opts.tol, max_sweeps=opts.max_sweeps
+        v[None], e0, f0, minimize=True, tol=TOL, max_sweeps=opts.max_sweeps
     )
     best = int(np.argmin(obj))
     e_b, f_b, _ = _polish_two_vector(v, e[best], f[best], minimize=True)
@@ -419,7 +420,7 @@ def separable_upper_bound(
     rng = np.random.default_rng(opts.seed)
     e0 = _random_unit(rng, (restarts, design.dim))
     _, f, obj, stationary, used = _two_vector_iterate(
-        v[None], e0, e0, minimize=False, tol=opts.tol, max_sweeps=opts.max_sweeps, certify=cert
+        v[None], e0, e0, minimize=False, tol=TOL, max_sweeps=opts.max_sweeps, certify=cert
     )
     if cert.maximizer is not None:
         stop_reason, e_b = "certified", cert.maximizer
@@ -654,14 +655,18 @@ class FamilyScanResult:
     per_point: tuple[tuple[float, float, float, float], ...]
 
 
-def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64, threshold=None):
+#: Orbits per stacked kernel call of :func:`_grid_lower_bounds`.
+_GRID_CHUNK = 64
+
+
+def _grid_lower_bounds(params, seed, restarts, max_sweeps, threshold=None):
     """Vectorized lower bounds for (n, 3) family points, one per point.
 
     Only the distinct orbit representatives (:func:`_orbit_key`) are
     evaluated, in key order, and each point reads its representative's
     value.  Every representative's starts are drawn before the first chunk,
-    so ``chunk`` only caps the memory of the per-restart design stacks,
-    never a value.  An orbit stops once its value reaches the least
+    so ``_GRID_CHUNK`` only caps the memory of the per-restart design
+    stacks, never a value.  An orbit stops once its value reaches the least
     ``threshold`` (per point) of its points, and then only bounds it.
     """
     keys, reps = _orbit_key(params)
@@ -675,8 +680,8 @@ def _grid_lower_bounds(params, seed, restarts, max_sweeps, chunk=64, threshold=N
     e0 = _random_unit(rng, (count, restarts, 4))
     f0 = _random_unit(rng, (count, restarts, 4))
     values = np.zeros(count)
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
+    for lo in range(0, count, _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, count)
         v = _d4_triple(*reps[lo:hi].T)[:, None]  # (c, 1, 12, 4)
         obj = _two_vector_iterate(
             v, e0[lo:hi], f0[lo:hi], minimize=True, tol=1e-11, max_sweeps=max_sweeps,

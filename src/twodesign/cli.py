@@ -69,12 +69,9 @@ def _complex_pairs(vec: np.ndarray) -> list[list[float]]:
 
 def _parse_subset(raw: str) -> list[int]:
     try:
-        idx = [int(tok) for tok in raw.split(",") if tok.strip()]
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad subset spec {raw!r}") from exc
-    if any(i < 1 for i in idx):
-        raise argparse.ArgumentTypeError("subset indices are 1-based")
-    return idx
 
 
 def _reject(args, flags, reason: str) -> None:
@@ -98,7 +95,8 @@ def _resolve_design(args) -> Design:
     if args.subset is not None:
         _reject(args, ("m",), "with --subset")
         picked = args.subset
-        if not picked or len(set(picked)) != len(picked) or max(picked) > full.count:
+        in_range = all(1 <= i <= full.count for i in picked)
+        if not picked or len(set(picked)) != len(picked) or not in_range:
             raise ValueError(f"--subset needs distinct indices in [1, {full.count}], got {picked}")
         return full.subset([i - 1 for i in picked])
     if args.m is not None and not 1 <= args.m <= full.count:
@@ -193,14 +191,14 @@ def _closed_form_record(spec: CorrelationSpec) -> BoundRecord:
 
 
 def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
-    source = getattr(args, "bounds", "recompute")
-    if source == "closed-form":
+    if args.bounds != "cached":
+        _reject(args, ("bounds_file",), "without --bounds cached")
+    if args.bounds == "closed-form":
         return _closed_form_record(spec)
-    if source == "cached":
-        path = getattr(args, "bounds_file", None)
-        if not path:
+    if args.bounds == "cached":
+        if not args.bounds_file:
             raise ValueError("--bounds cached requires --bounds-file")
-        with open(path) as fh:
+        with open(args.bounds_file) as fh:
             return bound_record_from_obj(json.load(fh))
     return compute_bound_record(spec.design, _options(args))
 
@@ -309,6 +307,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_detect(args) -> int:
     if args.state_file:
+        _reject(args, ("state", "param"), "with --state-file")
         rho = _load_state(args.state_file)
         if rho.local_dim != args.d:
             raise ValueError(f"state file has d={rho.local_dim}, requested d={args.d}")
@@ -319,7 +318,7 @@ def cmd_detect(args) -> int:
         rho = symmetric_state(SymmetricStateSpec(args.state, args.d, args.param))
         state_descriptor = {"source": args.state, "parameter": args.param}
     design = _resolve_design(args)
-    conjugate = args.conjugate_second or (args.state == "isotropic" and not args.state_file)
+    conjugate = args.conjugate_second or args.state == "isotropic"
     spec = CorrelationSpec(design, conjugate_second=conjugate)
     record = _bounds_for(spec, args)
     verdict = detect(rho, spec, record, args.tol)

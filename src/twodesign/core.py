@@ -19,16 +19,10 @@ import numpy as np
 #: scope live on at most C^8 x C^8.
 MAX_TOTAL_DIM = 64
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances used by structural validation of states."""
-
-    structural: float = 1e-10        # hermiticity / trace checks
-    psd_floor: float = -1e-9         # smallest admissible eigenvalue of a state
-
-
-DEFAULT_TOLS = Tolerances()
+#: Largest admissible hermiticity and trace deviation of a state,
+STRUCTURAL_TOL = 1e-10
+#: and its smallest admissible eigenvalue.
+PSD_FLOOR = -1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -71,8 +65,8 @@ class DensityMatrix:
     """A validated bipartite density matrix on C^d x C^d.
 
     ``matrix`` is a read-only (d^2, d^2) complex array that is Hermitian,
-    unit-trace and positive semidefinite within the tolerances it was
-    validated with.  Use :func:`validate_density` to construct one.
+    unit-trace and positive semidefinite within ``STRUCTURAL_TOL`` and
+    ``PSD_FLOOR``.  Use :func:`validate_density` to construct one.
     """
 
     local_dim: int
@@ -149,7 +143,7 @@ def partial_transpose(rho, subsystem: str = "B", local_dim: int | None = None) -
     return t.reshape(d * d, d * d)
 
 
-def _check_densities(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
+def _check_densities(m: np.ndarray) -> None:
     """Run :func:`validate_density`'s checks on a finite (n, D, D) stack.
 
     The first failing matrix raises what :func:`validate_density` raises for it alone.
@@ -158,18 +152,18 @@ def _check_densities(m: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> None:
     herm = np.abs(m - adj).max(axis=(-2, -1))
     tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     min_eig = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
-    fails = (herm > tols.structural) | (tr_dev > tols.structural) | (min_eig < tols.psd_floor)
+    fails = (herm > STRUCTURAL_TOL) | (tr_dev > STRUCTURAL_TOL) | (min_eig < PSD_FLOOR)
     bad = np.flatnonzero(fails)
     if bad.size:
         i = bad[0]
-        if herm[i] > tols.structural:
+        if herm[i] > STRUCTURAL_TOL:
             raise NotHermitianError(herm[i])
-        if tr_dev[i] > tols.structural:
+        if tr_dev[i] > STRUCTURAL_TOL:
             raise NotUnitTraceError(tr_dev[i])
         raise NotPositiveError(-min_eig[i])
 
 
-def validate_density(matrix, local_dim: int, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
+def validate_density(matrix, local_dim: int) -> DensityMatrix:
     """Validate a candidate bipartite density matrix.
 
     Raises :class:`NotHermitianError`, :class:`NotUnitTraceError` or
@@ -179,7 +173,7 @@ def validate_density(matrix, local_dim: int, tols: Tolerances = DEFAULT_TOLS) ->
     m = _as_complex(matrix)
     if m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape}")
-    _check_densities(m[None], tols)
+    _check_densities(m[None])
     out = m.copy()
     out.setflags(write=False)
     return DensityMatrix(local_dim=d, matrix=out)
@@ -195,22 +189,22 @@ def density_to_json_obj(rho: DensityMatrix) -> dict:
     return {"local_dim": rho.local_dim, "matrix": mat}
 
 
-def density_from_json_obj(obj: dict, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
+def density_from_json_obj(obj: dict) -> DensityMatrix:
     try:
         d = int(obj["local_dim"])
         rows = obj["matrix"]
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
-    return validate_density(m, d, tols)
+    return validate_density(m, d)
 
 
 def save_density(path, rho: DensityMatrix) -> None:
     Path(path).write_text(json.dumps(density_to_json_obj(rho)))
 
 
-def load_density(path, tols: Tolerances = DEFAULT_TOLS) -> DensityMatrix:
-    return density_from_json_obj(json.loads(Path(path).read_text()), tols)
+def load_density(path) -> DensityMatrix:
+    return density_from_json_obj(json.loads(Path(path).read_text()))
 
 
 # -- random samplers (test and demo plumbing) ---------------------------------

@@ -231,11 +231,6 @@ def _reproduce_table_i(opts: OptimizerOptions) -> TableReport:
     return TableReport("I", LOWER_TOL, tuple(rows))
 
 
-def hesse_spectrum(subset_size: int, opts: OptimizerOptions = DEFAULT_OPTIONS) -> SubsetSpectrum:
-    """Full subset enumeration of the d = 3 SIC at one subset size."""
-    return subset_bound_spectrum(sic_povm(3), subset_size, opts)
-
-
 def _hesse_certificates(spectrum: SubsetSpectrum) -> dict[str, float]:
     """The d = 3 spectrum extrema re-evaluated at each subset's reported states.
 
@@ -252,12 +247,10 @@ def _hesse_certificates(spectrum: SubsetSpectrum) -> dict[str, float]:
     return {"L-": min(lows), "L+": max(lows), "U+": max(highs), "U-": min(highs)}
 
 
-def _reproduce_table_ii(
-    opts: OptimizerOptions, spectra: dict[int, SubsetSpectrum] | None = None
-) -> TableReport:
+def _reproduce_table_ii(opts: OptimizerOptions) -> TableReport:
     rows = []
     for mt, refs in SIC_D3_REFS.items():
-        spec = spectra[mt] if spectra and mt in spectra else hesse_spectrum(mt, opts)
+        spec = subset_bound_spectrum(sic_povm(3), mt, opts)
         n_sub = len(spec.per_subset)
         computed = {"L-": spec.l_minus, "L+": spec.l_plus, "U+": spec.u_plus, "U-": spec.u_minus}
         certs = _hesse_certificates(spec)
@@ -318,24 +311,17 @@ def _reproduce_eq12(opts: OptimizerOptions) -> TableReport:
     return TableReport("EQ12", UPPER_CLOSED_TOL, tuple(rows))
 
 
-def reproduce_table(
-    table_id: str,
-    opts: OptimizerOptions = DEFAULT_OPTIONS,
-    *,
-    spectra: dict[int, SubsetSpectrum] | None = None,
-) -> TableReport:
+def reproduce_table(table_id: str, opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableReport:
     """Recompute one reference table and compare cell by cell.
 
-    ``spectra`` may supply precomputed d = 3 subset spectra to avoid
-    re-enumeration.  Ids II and IV name the same 28 d = 3 cells (the
-    reference data exists in a rounded and a higher-precision variant) and
-    run the same computation.
+    Ids II and IV name the same 28 d = 3 cells (the reference data exists in
+    a rounded and a higher-precision variant) and run the same computation.
     """
     tid = table_id.upper()
     if tid == "I":
         return _reproduce_table_i(opts)
     if tid in ("II", "IV"):
-        report = _reproduce_table_ii(opts, spectra)
+        report = _reproduce_table_ii(opts)
         return TableReport(tid, report.tolerance, report.rows)
     if tid == "III":
         return _reproduce_table_iii(opts)
@@ -419,54 +405,34 @@ def scan_family(
 # -- figure critical values ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalValue:
-    name: str
-    computed: float
-    reference: float
-    passed: bool
-    bound_used: float
-    published: float | None = None
-    certificate: float | None = None
-
-
-def figure_critical_values(
-    opts: OptimizerOptions = DEFAULT_OPTIONS,
-    spectra: dict[int, SubsetSpectrum] | None = None,
-) -> list[CriticalValue]:
+def figure_critical_values(opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableReport:
     """Werner/isotropic crossing parameters for the d = 3 SIC subsets.
 
     For subset size n the Werner correlation sum is p*n/6, so the lower
     bound L+ is crossed at p = 6 L+/n; the isotropic sum (conjugated
     convention) is n(2q+1)/9, crossing U- at q = (9 U-/n - 1)/2.  Crossings
-    above 1 certify that no state of the family violates that bound.
+    above 1 certify that no state of the family violates that bound.  Rows
+    are labelled ``p<n>`` and ``q<n>`` and carry the bound crossed as
+    ``bound_used``.
 
     A value whose published number is refuted (``FIGURE_Q_PUBLISHED``) is
     checked like a corrected table cell: its ``certificate`` is the crossing
-    of the re-evaluated U- (see :func:`_hesse_certificates`) and must lie
-    above the published number by more than the tolerance.
+    of the re-evaluated U- (see :func:`_hesse_certificates`).
     """
-    out = []
-    sizes = sorted(set(FIGURE_P_REFS) | set(FIGURE_Q_REFS))
-    for mt in sizes:
-        spec = spectra[mt] if spectra and mt in spectra else hesse_spectrum(mt, opts)
+    rows = []
+    for mt in sorted(set(FIGURE_P_REFS) | set(FIGURE_Q_REFS)):
+        spec = subset_bound_spectrum(sic_povm(3), mt, opts)
         if mt in FIGURE_P_REFS:
-            p_star = 6 * spec.l_plus / mt
-            out.append(CriticalValue(
-                name=f"p{mt}", computed=p_star, reference=FIGURE_P_REFS[mt],
-                passed=abs(p_star - FIGURE_P_REFS[mt]) <= FIGURE_TOL, bound_used=spec.l_plus,
-            ))
+            rows.append(_row({"cell": f"p{mt}"}, 6 * spec.l_plus / mt, FIGURE_P_REFS[mt],
+                             FIGURE_TOL, bound_used=spec.l_plus))
         if mt in FIGURE_Q_REFS:
-            q_star = _isotropic_crossing(spec.u_minus, mt)
-            passed = abs(q_star - FIGURE_Q_REFS[mt]) <= FIGURE_TOL
             published = FIGURE_Q_PUBLISHED.get(mt)
             certificate = None
             if published is not None:
                 certificate = _isotropic_crossing(_hesse_certificates(spec)["U-"], mt)
-                passed = passed and refutes(certificate, published, FIGURE_TOL, upper=True)
-            out.append(CriticalValue(
-                name=f"q{mt}", computed=q_star, reference=FIGURE_Q_REFS[mt],
-                passed=passed, bound_used=spec.u_minus,
-                published=published, certificate=certificate,
+            rows.append(_row(
+                {"cell": f"q{mt}"}, _isotropic_crossing(spec.u_minus, mt), FIGURE_Q_REFS[mt],
+                FIGURE_TOL, published=published, certificate=certificate,
+                bound_used=spec.u_minus,
             ))
-    return out
+    return TableReport("FIGURE", FIGURE_TOL, tuple(rows))

@@ -45,7 +45,7 @@ from twodesign.core import (
     random_separable_density,
     random_state_vector,
 )
-from twodesign.tables import FIGURE_TOL, figure_critical_values, refutes
+from twodesign.tables import figure_critical_values, refutes
 
 SEED = 0
 
@@ -126,10 +126,10 @@ class TestCriterion2TableI:
 
 
 class TestCriterion3TableII:
-    def test_hesse_subset_table(self, hesse_spectra):
+    def test_hesse_subset_table(self):
         start = time.perf_counter()
-        table = reproduce_table("II", OptimizerOptions(seed=SEED), spectra=hesse_spectra["spectra"])
-        elapsed = hesse_spectra["seconds"] + (time.perf_counter() - start)
+        table = reproduce_table("II", OptimizerOptions(seed=SEED))
+        elapsed = time.perf_counter() - start
         bad = failing_rows(table)
         ok = not bad and elapsed < 600
         report(3, ok, f"{len(table.rows)} cells, {len(bad)} failing, enumeration+report {elapsed:.0f}s")
@@ -217,7 +217,7 @@ class TestCriterion7ClosedFormCrossChecks:
 
 
 class TestCriterion8DetectionThresholds:
-    def test_threshold_flips_and_figure_values(self, hesse_spectra):
+    def test_threshold_flips_and_figure_values(self):
         flips = {}
         for d in (2, 3):
             mubs = standard_mubs(d)
@@ -230,29 +230,19 @@ class TestCriterion8DetectionThresholds:
             flips[f"isotropic d={d}"] = (iso.first_flip[0], 1 / (d + 1))
         worst_flip = max(abs(got - want) for got, want in flips.values())
 
-        values = figure_critical_values(OptimizerOptions(seed=SEED), hesse_spectra["spectra"])
-        bad = [v for v in values if not v.passed]
+        values = figure_critical_values(OptimizerOptions(seed=SEED))
+        bad = failing_rows(values)
         ok = worst_flip <= 2e-3 and not bad
         detail = f"threshold dev {worst_flip:.1e}; figure values " + ", ".join(
-            f"{v.name}={v.computed:.3f}{'' if v.passed else '(ref ' + str(v.reference) + ')'}"
-            for v in values
+            f"{r.labels['cell']}={r.computed:.3f}{'' if r.passed else '(ref ' + str(r.reference) + ')'}"
+            for r in values.rows
         )
         report(8, ok, detail)
         assert worst_flip <= 2e-3
-
-        def describe_value(v):
-            text = f"{v.name}: computed {v.computed:.4f} vs reference {v.reference:.4f}"
-            if v.published is not None:
-                text += f" (published {v.published}, certificate {v.certificate:.4f})"
-            return text
-
         # q4 is the crossing of U-(4,3): checked against the crossing of the
         # corrected 1.29270, and its certificate must beat the published 0.91
-        assert not bad, "; ".join(describe_value(v) for v in bad)
-        corrected = [v for v in values if v.published is not None]
-        assert [v.name for v in corrected] == ["q4"]
-        for v in corrected:
-            assert_refutation(v.name, v.certificate, v.published, FIGURE_TOL, upper=True)
+        assert not bad, describe(bad)
+        assert_corrected_rows(values, {"q4"})
 
 
 class TestCriterion9Soundness:
@@ -272,7 +262,7 @@ class TestCriterion9Soundness:
         plus_triple = mub_triple_family_d4(np.pi / 2, 0.0, 0.0)
         designs.append((CorrelationSpec(plus_triple), compute_bound_record(plus_triple, opts)))
         sic3 = sic_povm(3)
-        for mt, spectrum in hesse_spectra["spectra"].items():
+        for mt, spectrum in hesse_spectra.items():
             lead = spectrum.per_subset[0]
             designs.append((CorrelationSpec(sic3.subset(lead.indices)), lead))
 

@@ -201,6 +201,8 @@ class TestBoundsCommand:
          "--m must be in [1, 4], got 0"),
         (["bounds", "--design", "sic", "--d", "3", "--m", "0", "--all-subsets"],
          "--m must be in [1, 9], got 0"),
+        (["bounds", "--design", "sic", "--d", "2", "--subset", "0,1"],
+         "--subset needs distinct indices in [1, 4], got [0, 1]"),
     ])
     def test_subset_errors_are_one_based(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -231,6 +233,14 @@ IGNORED_FLAGS = [
      "--conjugate-second"),
     (["designs", "show", "--design", "sic", "--d", "2", "--conjugate-second"],
      "--conjugate-second"),
+    (["detect", "--state-file", "state.json", "--state", "werner", "--param", "0.2",
+      "--design", "mub", "--d", "2"], "--state"),
+    (["detect", "--state-file", "state.json", "--param", "0.2", "--design", "mub", "--d", "2"],
+     "--param"),
+    (["detect", "--state", "werner", "--param", "0.2", "--design", "mub", "--d", "2",
+      "--bounds-file", "bounds.json"], "--bounds-file"),
+    (["scan", "--family", "werner", "--design", "mub", "--d", "2", "--bounds", "closed-form",
+      "--bounds-file", "bounds.json"], "--bounds-file"),
 ]
 
 

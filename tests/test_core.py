@@ -210,6 +210,30 @@ class TestDensityStackChecks:
         _check_densities(np.stack([random_bipartite_density(3, rng).matrix for _ in range(70)]))
 
 
+class TestValidationThresholds:
+    """Each check accepts half its documented tolerance and rejects twice it:
+    1e-10 for hermiticity and trace, -1e-9 for the smallest eigenvalue."""
+
+    @staticmethod
+    def deviated(error, scale):
+        """A d = 2 state off by ``scale`` tolerances in ``error``'s check alone."""
+        dev, floor = scale * 1e-10, scale * -1e-9
+        return {
+            NotHermitianError: np.eye(4) / 4 + dev * np.eye(4, k=1),
+            NotUnitTraceError: np.diag([0.25 + dev, 0.25, 0.25, 0.25]),
+            NotPositiveError: np.diag([0.5 - floor, 0.25, 0.25, floor]),
+        }[error].astype(complex)
+
+    @pytest.mark.parametrize("error", [NotHermitianError, NotUnitTraceError, NotPositiveError])
+    def test_half_accepted_twice_rejected(self, error):
+        validate_density(self.deviated(error, 0.5), 2)
+        _check_densities(self.deviated(error, 0.5)[None])
+        with pytest.raises(error):
+            validate_density(self.deviated(error, 2.0), 2)
+        with pytest.raises(error):
+            _check_densities(self.deviated(error, 2.0)[None])
+
+
 class TestSerialization:
     def test_round_trip(self, rng, tmp_path):
         rho = random_bipartite_density(2, rng)
