@@ -116,7 +116,7 @@ def _load_state(path):
 def _options(args) -> OptimizerOptions:
     return OptimizerOptions(
         restarts=getattr(args, "restarts", None),
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
     )
 
 
@@ -193,6 +193,8 @@ def _closed_form_record(spec: CorrelationSpec) -> BoundRecord:
 def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
     if args.bounds != "cached":
         _reject(args, ("bounds_file",), "without --bounds cached")
+    if args.bounds != "recompute":
+        _reject(args, ("restarts", "seed"), "without --bounds recompute")
     if args.bounds == "closed-form":
         return _closed_form_record(spec)
     if args.bounds == "cached":
@@ -206,7 +208,8 @@ def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_designs(args) -> int:
-    _reject(args, ("conjugate_second",), "by designs, which print and verify the design itself")
+    _reject(args, ("conjugate_second", "restarts", "seed"),
+            "by designs, which print and verify the design itself")
     design = _resolve_design(args)
     if args.action == "show":
         payload = {"kind": design.kind, "dim": design.dim}
@@ -233,6 +236,7 @@ def cmd_designs(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    _reject(args, ("restarts", "seed"), "by correlate, which runs no optimizer")
     rho = _load_state(args.state)
     design = _resolve_design(args)
     spec = CorrelationSpec(design, conjugate_second=bool(args.conjugate_second))
@@ -313,8 +317,8 @@ def cmd_detect(args) -> int:
             raise ValueError(f"state file has d={rho.local_dim}, requested d={args.d}")
         state_descriptor = {"source": "file", "path": args.state_file}
     else:
-        if args.param is None:
-            raise ValueError("--param is required with --state werner|isotropic")
+        if args.state is None or args.param is None:
+            raise ValueError("detect needs --state werner|isotropic with --param, or --state-file")
         rho = symmetric_state(SymmetricStateSpec(args.state, args.d, args.param))
         state_descriptor = {"source": args.state, "parameter": args.param}
     design = _resolve_design(args)
@@ -396,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, design=True, design_aliases=()):
-        p.add_argument("--seed", type=int, default=0, help="optimizer seed")
+        p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, default=1e-9, help="verdict/verification tolerance")
         if design:

@@ -64,9 +64,9 @@ class NotPositiveError(ValidationError):
 class DensityMatrix:
     """A validated bipartite density matrix on C^d x C^d.
 
-    ``matrix`` is a read-only (d^2, d^2) complex array that is Hermitian,
-    unit-trace and positive semidefinite within ``STRUCTURAL_TOL`` and
-    ``PSD_FLOOR``.  Use :func:`validate_density` to construct one.
+    ``matrix`` is a read-only, finite (d^2, d^2) complex array, Hermitian and
+    unit-trace within ``STRUCTURAL_TOL``, whose Hermitian part has no eigenvalue
+    below ``PSD_FLOOR`` (to rounding).  Use :func:`validate_density` to make one.
     """
 
     local_dim: int
@@ -146,11 +146,20 @@ def partial_transpose(rho, subsystem: str = "B", local_dim: int | None = None) -
 def _check_densities(m: np.ndarray) -> None:
     """Run :func:`validate_density`'s checks on a finite (n, D, D) stack.
 
-    The first failing matrix raises what :func:`validate_density` raises for it alone.
+    The floor is one batched Cholesky factorization of m + m^H - 2 PSD_FLOOR I,
+    which exists iff lambda_min((m + m^H)/2) > ``PSD_FLOOR`` (to rounding).  Only if a
+    check fails are eigenvalues computed: the first failing matrix raises what
+    :func:`validate_density` raises for it alone.
     """
-    adj = np.conj(np.swapaxes(m, -1, -2))
+    adj = m.conj().swapaxes(1, 2)
+    tr_dev = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
+    if np.abs(m - adj).max() <= STRUCTURAL_TOL and tr_dev.max() <= STRUCTURAL_TOL:
+        try:
+            np.linalg.cholesky(m + adj - 2 * PSD_FLOOR * np.eye(m.shape[-1]))
+            return
+        except np.linalg.LinAlgError:
+            pass
     herm = np.abs(m - adj).max(axis=(-2, -1))
-    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     min_eig = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
     fails = (herm > STRUCTURAL_TOL) | (tr_dev > STRUCTURAL_TOL) | (min_eig < PSD_FLOOR)
     bad = np.flatnonzero(fails)
@@ -166,17 +175,17 @@ def _check_densities(m: np.ndarray) -> None:
 def validate_density(matrix, local_dim: int) -> DensityMatrix:
     """Validate a candidate bipartite density matrix.
 
-    Raises :class:`NotHermitianError`, :class:`NotUnitTraceError` or
-    :class:`NotPositiveError`, each carrying the measured violation.
+    Non-finite entries raise ``ValueError``; then :class:`NotHermitianError`,
+    :class:`NotUnitTraceError` or :class:`NotPositiveError`, each carrying the
+    measured violation.  Returns a read-only copy of ``matrix``.
     """
     d = int(local_dim)
-    m = _as_complex(matrix)
+    m = _as_complex(np.array(matrix, dtype=complex))
     if m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape}")
     _check_densities(m[None])
-    out = m.copy()
-    out.setflags(write=False)
-    return DensityMatrix(local_dim=d, matrix=out)
+    m.setflags(write=False)
+    return DensityMatrix(local_dim=d, matrix=m)
 
 
 # -- state-file serialization -------------------------------------------------

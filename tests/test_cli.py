@@ -241,6 +241,22 @@ IGNORED_FLAGS = [
       "--bounds-file", "bounds.json"], "--bounds-file"),
     (["scan", "--family", "werner", "--design", "mub", "--d", "2", "--bounds", "closed-form",
       "--bounds-file", "bounds.json"], "--bounds-file"),
+    (["detect", "--state", "werner", "--param", "0.2", "--design", "mub", "--d", "2",
+      "--bounds", "closed-form", "--restarts", "8"], "--restarts"),
+    (["detect", "--state", "werner", "--param", "0.2", "--design", "mub", "--d", "2",
+      "--bounds", "closed-form", "--seed", "3"], "--seed"),
+    (["detect", "--state", "werner", "--param", "0.2", "--design", "mub", "--d", "2",
+      "--bounds", "cached", "--bounds-file", "bounds.json", "--seed", "0"], "--seed"),
+    (["scan", "--family", "werner", "--design", "mub", "--d", "2", "--bounds", "closed-form",
+      "--restarts", "8"], "--restarts"),
+    (["scan", "--family", "werner", "--design", "mub", "--d", "2", "--bounds", "closed-form",
+      "--seed", "3"], "--seed"),
+    (["designs", "verify", "--design", "mub", "--d", "2", "--restarts", "5"], "--restarts"),
+    (["designs", "verify", "--design", "mub", "--d", "2", "--seed", "3"], "--seed"),
+    (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--restarts", "5"],
+     "--restarts"),
+    (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--seed", "3"],
+     "--seed"),
 ]
 
 
@@ -288,6 +304,18 @@ class TestDetectCommand:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "Inconclusive"
+
+    @pytest.mark.parametrize("source", [[], ["--param", "0.2"], ["--state", "werner"]],
+                             ids=["no state", "--param alone", "--state alone"])
+    def test_missing_state_source(self, capsys, source):
+        code, out, err = run_cli(
+            capsys, "detect", *source, "--design", "mub", "--d", "2", "--bounds", "closed-form",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "detect needs --state werner|isotropic with --param, or --state-file",
+        }
 
     def test_closed_form_requires_full_design(self, capsys):
         code, _, err = run_cli(

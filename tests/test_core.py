@@ -234,6 +234,78 @@ class TestValidationThresholds:
             _check_densities(self.deviated(error, 2.0)[None])
 
 
+def _no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh called")
+
+
+class TestDenseValidationThresholds:
+    """The same thresholds on dense d = 3 and d = 4 states: a seeded
+    Haar-rotated spectrum, checked alone and in the middle of a stack of
+    valid states."""
+
+    @staticmethod
+    def deviated(error, scale, d, rng):
+        """A dense state off by ``scale`` tolerances in ``error``'s check alone."""
+        dev, floor = scale * 1e-10, scale * -1e-9
+        n = d * d
+        spectrum = rng.dirichlet(np.ones(n))
+        if error is NotUnitTraceError:
+            spectrum *= 1 + dev
+        if error is NotPositiveError:
+            spectrum = np.concatenate([[floor], spectrum[1:] * (1 - floor) / spectrum[1:].sum()])
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        m = (u * spectrum) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        if error is NotHermitianError:
+            m[0, 1] += dev
+        return m
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("error", [NotHermitianError, NotUnitTraceError, NotPositiveError])
+    def test_half_accepted_twice_rejected_alone_and_stacked(self, monkeypatch, error, d):
+        rng = np.random.default_rng(100 + d)
+        good = [random_bipartite_density(d, rng).matrix for _ in range(6)]
+        half, twice = (self.deviated(error, scale, d, rng) for scale in (0.5, 2.0))
+        with pytest.raises(error) as alone:
+            validate_density(twice, d)
+        with pytest.raises(error) as stacked:
+            _check_densities(np.stack(good[:3] + [twice] + good[3:]))
+        assert stacked.value.violation == alone.value.violation
+        # accepted by the factorization itself, not by the eigenvalues of a failure
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        validate_density(half, d)
+        _check_densities(np.stack(good[:3] + [half] + good[3:]))
+
+
+class TestEigenvaluesOnlyForFailures:
+    """Positivity is decided without eigenvalues; one is computed only to
+    report the violation of a failing state."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_valid_inputs_call_no_eigvalsh(self, monkeypatch, rng, d):
+        stack = np.stack([random_bipartite_density(d, rng).matrix for _ in range(64)])
+        bad = np.diag([1.1] + [0.0] * (d * d - 2) + [-0.1]).astype(complex)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        for m in stack[:4]:
+            validate_density(m, d)
+        _check_densities(stack)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            validate_density(bad, d)
+        monkeypatch.undo()
+        with pytest.raises(NotPositiveError) as err:
+            validate_density(bad, d)
+        assert err.value.violation == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries(self, entry):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = entry
+        with pytest.raises(ValueError) as err:
+            validate_density(m, 2)
+        assert type(err.value) is ValueError and str(err.value) == "non-finite entries"
+
+
 class TestSerialization:
     def test_round_trip(self, rng, tmp_path):
         rho = random_bipartite_density(2, rng)
