@@ -16,7 +16,8 @@ below ``TOL`` and keeps its state and objective; later
 sweeps compute only the restarts still active, so each ends bit for bit
 as it would alone.  The batch stops ``stationary`` when none is active, or
 ``max_sweeps`` when one still improves after ``OptimizerOptions.max_sweeps``;
-the best restart is then polished.
+the best restart is then polished.  A minimizing restart whose gain has
+stopped shrinking also takes Newton steps (:func:`_newton_step`).
 
 The upper bound equals the maximum of ``F(e) = sum_v |<v|e>|^4``
 (arithmetic-geometric mean argument).  The kernel, maximizing and started
@@ -55,6 +56,7 @@ a fixed seed yields a bit-identical result.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -201,9 +203,50 @@ def _weighted_frame(w: np.ndarray, v: np.ndarray, v_conj: np.ndarray) -> np.ndar
     return np.matmul(np.swapaxes(v, -1, -2) * w[..., None, :], v_conj)
 
 
-def _eig_extreme(m: np.ndarray, maximize: bool) -> np.ndarray:
-    vecs = np.linalg.eigh(m)[1]
-    return vecs[..., :, -1] if maximize else vecs[..., :, 0]
+def _eig_extreme(m: np.ndarray, maximize: bool):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs[..., :, -1] if maximize else vecs[..., :, 0]), vals, vecs
+
+
+#: Newton steps start at this sweep, where a gain exceeds this ratio of the last, this many at once.
+_NEWTON_AFTER, _NEWTON_RATIO, _NEWTON_CHUNK = 6, 0.2, 64
+#: Re(A_ij conj(r_a) r_b), r = (1, i): the real form of a Hermitian form x^H A x
+_REAL_FORM = np.array([[1.0, 1.0j], [-1.0j, 1.0]])[:, None, :]
+
+
+def _newton_step(v1c, frame_e, frame_f, vals_f, w_f, obj):
+    """One Newton step on the product of the unit spheres: (e, f, w_f, objective).
+
+    (e, f) is column 0 of the minimizing half-steps' eigenvector frames; the
+    coordinates are the (Re, Im) pairs of x, y in e + T_e x, f + T_f y over the
+    other columns (no phase).  Halved, the gradient is T_e^H M_f e (zero in f)
+    and the Hessian blocks are T_e^H M_f T_e - F, diag(vals_f) - F, 2 X^T Y,
+    rows X = Re(conj<v|e> <v|T_e>), Y likewise.  Every product is per
+    restart; a singular Hessian gives a zero step.
+    """
+    frames = np.stack([frame_e, frame_f], axis=1)
+    amp = v1c[..., None, :, :] @ frames  # <v| frame columns>, e then f
+    s, k = obj.size, 2 * frames.shape[-1] - 2
+    rows = (amp[..., :1] * amp[..., 1:].conj()).view(float)  # X, Y: Re(c z) = (Re c, -Im c).z
+    block = np.swapaxes(amp[:, 0, :, 1:].conj() * w_f[..., None], 1, 2) @ amp[:, 0, :, 1:]
+    hess = np.zeros((s, 2 * k, 2 * k))
+    hess[:, :k, :k] = (block[:, :, None, :, None] * _REAL_FORM).real.reshape(s, k, k)
+    hess[:, :k, k:] = 2 * np.swapaxes(rows[:, 0], 1, 2) @ rows[:, 1]
+    hess[:, k:, :k] = np.swapaxes(hess[:, :k, k:], 1, 2)
+    hess[:, range(k, 2 * k), range(k, 2 * k)] = np.repeat(vals_f[:, 1:], 2, axis=1)
+    hess -= obj[:, None, None] * np.eye(2 * k)
+    rhs = np.concatenate([-(w_f[:, None] @ rows[:, 0])[:, 0], np.zeros((s, k))], axis=1)[..., None]
+    try:
+        step = np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(rhs)
+        for i in range(s):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step[i] = np.linalg.solve(hess[i], rhs[i])
+    coef = np.concatenate([np.ones((s, 2, 1, 1)), step.reshape(s, 2, -1, 2).view(complex)], 2)
+    e, f = np.moveaxis((frames @ coef)[..., 0] / np.linalg.norm(coef, axis=2), 1, 0)
+    w_f = _amps_sq(v1c, f)
+    return e, f, w_f, np.sum(_amps_sq(v1c, e) * w_f, axis=-1)
 
 
 def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, threshold=None):
@@ -216,12 +259,14 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
     With ``certify`` (a :class:`_Level2Certificate`, when maximizing), each
     sweep whose best active restart lies within ``CERTIFY_WINDOW`` of
     ``certify.value`` tries a certificate step from its f; one that succeeds
-    ends the call.  With ``threshold`` (minimizing; ``threshold[i]`` for row i
-    of the batch less its last axis), a row retires whole, not stationary,
-    once one of its restarts reaches it: no objective rises, so the row's
-    minimum ends at or below it.  Returns the final (e, f), per-item
-    objective, per-item stationarity (retired within ``max_sweeps``) and
-    per-item sweeps used.
+    ends the call.  A minimizing restart's Newton step is kept only where it
+    lowers the objective, so every value is the objective at a product state
+    and never rises.  With ``threshold`` (minimizing; ``threshold[i]`` for
+    row i of the batch less its last axis), a row retires whole, not
+    stationary, once one of its restarts reaches it: no objective rises, so
+    the row's minimum ends at or below it.  Returns the final (e, f),
+    per-item objective, stationarity (retired within ``max_sweeps``) and
+    sweeps used.
     """
     batch, d = e.shape[:-1], e.shape[-1]
     count = math.prod(batch)
@@ -240,11 +285,21 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
     prev = np.full(batch, np.inf if minimize else -np.inf)
     w_f = _amps_sq(v1c, f)
     for sweep in range(max_sweeps):
-        e = _eig_extreme(_weighted_frame(w_f, v1, v1c), maximize=not minimize)
+        e, _, frame_e = _eig_extreme(_weighted_frame(w_f, v1, v1c), maximize=not minimize)
         w_e = _amps_sq(v1c, e)
-        f = _eig_extreme(_weighted_frame(w_e, v1, v1c), maximize=not minimize)
+        f, vals_f, frame_f = _eig_extreme(_weighted_frame(w_e, v1, v1c), maximize=not minimize)
         w_f = _amps_sq(v1c, f)
         obj = np.sum(w_e * w_f, axis=-1)
+        if minimize and sweep >= _NEWTON_AFTER:
+            slow = np.nonzero(prev - obj > _NEWTON_RATIO * gain)
+            for lo in range(0, slow[0].size, _NEWTON_CHUNK):
+                at = tuple(i[lo : lo + _NEWTON_CHUNK] for i in slow)
+                vc = v1c if shared else np.broadcast_to(v1c, obj.shape + v1c.shape[-2:])[at]
+                new = _newton_step(vc, frame_e[at], frame_f[at], vals_f[at], w_f[at], obj[at])
+                down = new[3] < obj[at]  # keep only steps that lower the objective
+                at = tuple(i[down] for i in at)
+                e[at], f[at], w_f[at], obj[at] = (x[down] for x in new)
+        gain = prev - obj
         obj_out[live] = obj
         if certify is not None:
             best = int(np.argmax(obj))
@@ -265,7 +320,7 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
             if not shared:
                 v1 = np.broadcast_to(v1, done.shape + v1.shape[-2:])[keep]
                 v1c = np.broadcast_to(v1c, done.shape + v1c.shape[-2:])[keep]
-            live, e, f, w_f, obj = live[keep], e[keep], f[keep], w_f[keep], obj[keep]
+            live, e, f, w_f, obj, gain = (x[keep] for x in (live, e, f, w_f, obj, gain))
             if live.size == 0:
                 break
         prev = obj
@@ -602,7 +657,8 @@ def subset_bound_spectrum(
     A subset's bounds do not change under a unitary or anti-unitary that
     maps the whole set onto itself (:func:`_symmetry_group`), so both
     optimizers run only on the first subset of each orbit, in lexicographic
-    order, with the seed that its index draws.  Every other subset gets
+    order, with the seed of its index k: the k-th child that ``spawn`` would
+    give ``opts.seed``, made without spawning.  Every other subset gets
     that record's minimizer and maximizer moved by the symmetry, with
     ``lower`` and ``upper`` re-evaluated on its own vectors.
     """
@@ -618,7 +674,8 @@ def subset_bound_spectrum(
             "evaluate sampled subsets explicitly"
         )
     combos = list(itertools.combinations(range(total), subset_size))
-    seeds = np.random.SeedSequence(opts.seed).spawn(len(combos))
+    root = opts.seed
+    root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
     perms, unitaries, anti = _symmetry_group(sic.vectors)
     source, element = _orbits(np.array(combos), perms)
     records = []
@@ -626,7 +683,8 @@ def subset_bound_spectrum(
         design = sic.subset(combo)
         label = "(" + ",".join(str(i + 1) for i in combo) + ")"
         if source[k] == k:
-            records.append(compute_bound_record(design, replace(opts, seed=seeds[k]), label=label))
+            seed = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,))
+            records.append(compute_bound_record(design, replace(opts, seed=seed), label=label))
         else:
             g = element[k]
             records.append(_mapped_record(records[source[k]], design, label, unitaries[g], anti[g]))
@@ -758,7 +816,8 @@ def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.n
     (+-r along x, y or z, clipped to [0, pi]; r starts at ``spacing``) of
     every active candidate; a step clipped onto the candidate itself is not
     evaluated.  A candidate moves to its best step if that improves its
-    value and else halves r.  It stops below ``_REFINE_RADIUS``, or on
+    value, and then doubles r up to ``spacing`` to follow a ridge oblique to
+    the axes; else it halves r.  It stops below ``_REFINE_RADIUS``, or on
     reaching an orbit (:func:`_orbit_key`) that another candidate of its
     sign holds.  A maximum candidate's (sign -1) steps stop once a restart
     falls to its L: a step's L is a minimum over restarts that never rise,
@@ -781,6 +840,7 @@ def _refine(points: np.ndarray, signs: np.ndarray, spacing: float, seed) -> np.n
             best = int(np.argmin(tv))
             if tv[best] < value[i]:
                 points[i], value[i] = t[best], tv[best]
+                radius[i] = min(2 * radius[i], spacing)
                 held = _orbit_key(points[signs == signs[i]])[0]
                 active[i] = (held == _orbit_key(t[best])[0]).all(axis=1).sum() == 1
             else:

@@ -214,6 +214,13 @@ class TestLowerStopReasons:
         assert abs(res.value - 0.25) <= 1e-12
         assert abs(objective(design, res.minimizer.e, res.minimizer.f) - res.value) <= 1e-12
 
+    def test_symmetric_triple_floor_stops_stationary(self):
+        # the flat minimum's first-order tail is finished by Newton steps
+        res = separable_lower_bound(mub_triple_family_d4(*[np.pi / 2] * 3), OPTS)
+        assert res.stop_reason == "stationary" and res.converged
+        assert abs(res.value - 0.25) <= 1e-12
+        assert res.sweeps < 200, res.sweeps
+
 
 class TestClosedForms:
     def test_mub_upper_values(self):
@@ -260,6 +267,37 @@ class TestSubsetSpectrum:
         assert max(highs) - min(highs) < 1e-9
         assert abs(spec.l_minus - 4 / 15) < 1e-6
         assert abs(spec.u_plus - 4 / 3) < 1e-6
+
+    def test_seed_sequence_seed(self):
+        # a SeedSequence seed is read, not spawned from, so a second call agrees
+        seq = np.random.SeedSequence(5)
+        a, b = (subset_bound_spectrum(sic_povm(3), 3, OptimizerOptions(seed=seq)) for _ in "ab")
+        def bounds_of(spectrum):
+            return [(r.lower, r.upper) for r in spectrum.per_subset]
+
+        assert bounds_of(a) == bounds_of(b)
+        assert seq.n_children_spawned == 0
+
+    def test_int_seed_children_unchanged(self, monkeypatch):
+        # each orbit representative k runs with SeedSequence(seed).spawn(n)[k]
+        seeds = {}
+        real = bounds.compute_bound_record
+
+        def record(design, opts, *, label):
+            seeds[design.indices] = opts.seed
+            return real(design, opts, label=label)
+
+        monkeypatch.setattr(bounds, "compute_bound_record", record)
+        subset_bound_spectrum(sic_povm(3), 3, OptimizerOptions(seed=4))
+        combos = list(itertools.combinations(range(9), 3))
+        children = np.random.SeedSequence(4).spawn(len(combos))
+        assert len(seeds) > 1
+        for indices, seed in seeds.items():
+            child = children[combos.index(indices)]
+            assert (seed.entropy, seed.spawn_key, seed.pool_size) == (
+                child.entropy, child.spawn_key, child.pool_size
+            )
+            np.testing.assert_array_equal(seed.generate_state(8), child.generate_state(8))
 
     def test_enumeration_cap(self):
         # C(25, 12) = 5,200,300 subsets; the cap is checked before any work
@@ -409,6 +447,21 @@ class TestOptimizerProperties:
         hist = np.array([
             _two_vector_iterate(v[None], e0, f0, minimize=True, tol=1e-12, max_sweeps=k)[2]
             for k in range(1, 41)
+        ])
+        assert np.all(np.diff(hist, axis=0) <= 1e-12)
+        assert np.all(hist[-1] < hist[0] - 1e-6)
+
+    @pytest.mark.parametrize("point", [(np.pi / 2,) * 3, (1.0, 2.0, 0.5)])
+    def test_monotone_descent_history_with_newton_steps(self, point):
+        # Newton steps engage within 60 sweeps on the symmetric triple's flat
+        # floor and at a generic family point, where most of them, from these
+        # starts, would raise the objective; only steps that lower it are kept
+        v = _d4_triple(*point)
+        rng = np.random.default_rng(0)
+        e0, f0 = _random_unit(rng, (8, 4)), _random_unit(rng, (8, 4))
+        hist = np.array([
+            _two_vector_iterate(v[None], e0, f0, minimize=True, tol=1e-12, max_sweeps=k)[2]
+            for k in range(1, 61)
         ])
         assert np.all(np.diff(hist, axis=0) <= 1e-12)
         assert np.all(hist[-1] < hist[0] - 1e-6)
@@ -714,6 +767,59 @@ class TestCompassCut:
         monkeypatch.setattr(bounds, "_grid_lower_bounds", uncut_grid_pass)
         np.testing.assert_array_equal(out, bounds._refine(*args))
         assert with_cut <= sum(matrices) / 3, (with_cut, sum(matrices))
+
+
+def test_singular_hessian_takes_no_step(monkeypatch):
+    # a chunk whose solve fails is solved one restart at a time: a singular
+    # restart keeps its state and objective, the others step as in the chunk
+    v = _d4_triple(1.0, 2.0, 0.5)
+    vc = v.conj()
+    w_f = bounds._amps_sq(vc, _random_unit(np.random.default_rng(0), (4, 4)))
+    e, _, frame_e = bounds._eig_extreme(bounds._weighted_frame(w_f, v, vc), False)
+    w_e = bounds._amps_sq(vc, e)
+    f, vals_f, frame_f = bounds._eig_extreme(bounds._weighted_frame(w_e, v, vc), False)
+    w_f = bounds._amps_sq(vc, f)
+    args = (vc, frame_e, frame_f, vals_f, w_f, np.sum(w_e * w_f, axis=-1))
+    want = bounds._newton_step(*args)
+    real, calls = np.linalg.solve, []
+
+    def solve(a, b):
+        calls.append(a.ndim)
+        if len(calls) in (1, 3):  # the chunk, then restart 1 alone
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    got = bounds._newton_step(*args)
+    assert calls == [3, 2, 2, 2, 2]
+    for i in (0, 2, 3):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a[i], b[i])
+    np.testing.assert_array_equal(got[0][1], e[1])
+    np.testing.assert_array_equal(got[1][1], f[1])
+    assert got[3][1] == args[5][1]
+
+
+def test_family_scan_work_guard(monkeypatch):
+    # matrices the 9-step scan hands the eigensolver, noise-free: 318,162 with
+    # first-order tails only; and no confirmation runs out of sweeps
+    real_eig, real_lower = bounds._eig_extreme, bounds.separable_lower_bound
+    matrices, stops = [], []
+
+    def counted(m, maximize):
+        matrices.append(math.prod(m.shape[:-2]))
+        return real_eig(m, maximize)
+
+    def confirmed(*args, **kwargs):
+        res = real_lower(*args, **kwargs)
+        stops.append(res.stop_reason)
+        return res
+
+    monkeypatch.setattr(bounds, "_eig_extreme", counted)
+    monkeypatch.setattr(bounds, "separable_lower_bound", confirmed)
+    d4_family_scan(9, OPTS, refine_count=1)
+    assert sum(matrices) <= 200_000, sum(matrices)
+    assert stops and "max_sweeps" not in stops, stops
 
 
 @pytest.fixture(scope="module")

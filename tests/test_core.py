@@ -277,6 +277,18 @@ class TestDenseValidationThresholds:
         validate_density(half, d)
         _check_densities(np.stack(good[:3] + [half] + good[3:]))
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_nine_tenths_of_the_floor_factor(self, monkeypatch, d):
+        # lambda_min = 0.9 * PSD_FLOOR lies between the floor and half of it, so
+        # only the documented shift of -2 * PSD_FLOOR factors it
+        rng = np.random.default_rng(200 + d)
+        good = [random_bipartite_density(d, rng).matrix for _ in range(6)]
+        near = self.deviated(NotPositiveError, 0.9, d, rng)
+        assert np.linalg.eigvalsh(near)[0] == pytest.approx(-0.9e-9, rel=1e-6)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        validate_density(near, d)
+        _check_densities(np.stack(good[:3] + [near] + good[3:]))
+
 
 class TestEigenvaluesOnlyForFailures:
     """Positivity is decided without eigenvalues; one is computed only to
