@@ -118,8 +118,8 @@ class ProductState:
     def __post_init__(self):
         for name, v in (("e", self.e), ("f", self.f)):
             arr = np.asarray(v, dtype=complex)
-            if abs(np.linalg.norm(arr) - 1) > 1e-12:
-                raise ValueError(f"factor {name} is not normalized")
+            if not abs(np.linalg.norm(arr) - 1) <= 1e-12:  # a NaN or inf norm fails too
+                raise ValueError(f"factor {name} is not a finite unit vector")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -177,11 +177,12 @@ class BoundRecord:
     indices: tuple[int, ...] | None = None  # the design's subset indices, if a subset
 
     def __post_init__(self):
-        if self.lower < -1e-12 or self.lower > self.upper + 1e-9:
+        # stated as the ranges that must hold, so a NaN or infinite bound fails them
+        if not -1e-12 <= self.lower <= self.upper + 1e-9:
             raise ValueError(
                 f"inconsistent bounds: lower={self.lower!r}, upper={self.upper!r}"
             )
-        if self.upper > self.size + 1e-9:
+        if not self.upper <= self.size + 1e-9:
             raise ValueError(f"upper bound {self.upper!r} exceeds design size {self.size}")
 
 

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .bounds import (
     design_closed_bounds,
     subset_bound_spectrum,
 )
-from .core import load_density
+from .core import density_from_json_obj
 from .correlations import CorrelationSpec, correlation_sum
 from .designs import (
     Design,
@@ -39,7 +40,7 @@ from .tables import TABLE_IDS, reproduce_table, scan_family
 
 
 class ParseError(ValueError):
-    """A state file failed to parse; carries line/column when known."""
+    """A state or bounds file is not valid JSON; the message gives line and column."""
 
 
 def _sig6(x):
@@ -53,7 +54,8 @@ def _sig6(x):
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(_sig6(obj)))
+    # strict JSON: a non-finite value becomes an error, not a NaN token on stdout
+    print(json.dumps(_sig6(obj), allow_nan=False))
 
 
 def _emit_csv(header, rows) -> None:
@@ -63,8 +65,58 @@ def _emit_csv(header, rows) -> None:
         writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
 
 
-def _complex_pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _to_json(x, names=None):
+    """``x`` as JSON lists, dicts and scalars, unrounded.
+
+    A dataclass becomes a dict of its fields in declaration order, or of the
+    attributes ``names`` in that order.  A 1-D array (every array the CLI
+    prints is complex) becomes a list of [re, im] pairs; tuples and other
+    arrays become lists, and an Enum its value.
+    """
+    if dataclasses.is_dataclass(x):
+        names = names or [f.name for f in dataclasses.fields(x)]
+        return {n: _to_json(getattr(x, n)) for n in names}
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in x]
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _to_json(v) for k, v in x.items()}
+    return x
+
+
+def _unit(pairs) -> np.ndarray:
+    # the JSON rounds vectors to six digits, so renormalize on load
+    v = np.array([complex(re, im) for re, im in pairs])
+    norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"a bounds-file vector has norm {norm}; it cannot be normalized")
+    return v / norm
+
+
+#: The fields ``twodesign bounds`` prints, in order; ``indices`` stays out.
+_RECORD_FIELDS = [f for f in dataclasses.fields(BoundRecord) if f.name != "indices"]
+#: Values a bounds file may omit, beyond the fields' own defaults.
+_RECORD_DEFAULTS = {"subset_or_params": "", "argmin": None, "argmax": None,
+                    "restarts": 0, "converged": True}
+#: How a JSON value becomes a field, by annotation text (bounds.py postpones
+#: annotations); other fields keep the JSON value.
+_FIELD_PARSERS = {"int": int, "float": float, "bool": bool, "np.ndarray": _unit,
+                  "ProductState": lambda obj: ProductState(_unit(obj["e"]), _unit(obj["f"]))}
+
+
+def _from_json(obj: dict) -> BoundRecord:
+    """The :class:`BoundRecord` that ``twodesign bounds`` printed as ``obj``."""
+    kwargs = {}
+    for f in _RECORD_FIELDS:
+        value = obj.get(f.name, _RECORD_DEFAULTS.get(f.name, f.default))
+        if value is dataclasses.MISSING:
+            raise KeyError(f.name)
+        parse = _FIELD_PARSERS.get(f.type)
+        kwargs[f.name] = value if value is None or parse is None else parse(value)
+    return BoundRecord(**kwargs)
 
 
 def _parse_subset(raw: str) -> list[int]:
@@ -104,13 +156,17 @@ def _resolve_design(args) -> Design:
     return full if args.m is None else full.subset(range(args.m))
 
 
-def _load_state(path):
+def _load(path, parse=density_from_json_obj):
+    """``parse`` of the JSON object in file ``path``; a state file by default."""
     try:
-        return load_density(path)
+        with open(path) as fh:
+            return parse(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing required key {exc.args[0]!r}") from exc
 
 
 def _options(args) -> OptimizerOptions:
@@ -120,74 +176,15 @@ def _options(args) -> OptimizerOptions:
     )
 
 
-def product_state_to_obj(ps: ProductState | None):
-    if ps is None:
-        return None
-    return {"e": _complex_pairs(ps.e), "f": _complex_pairs(ps.f)}
-
-
-def bound_record_to_obj(rec: BoundRecord) -> dict:
-    return {
-        "design_kind": rec.design_kind,
-        "dim": rec.dim,
-        "size": rec.size,
-        "subset_or_params": rec.subset_or_params,
-        "lower": rec.lower,
-        "upper": rec.upper,
-        "argmin": product_state_to_obj(rec.argmin),
-        "argmax": _complex_pairs(rec.argmax) if rec.argmax is not None else None,
-        "restarts": rec.restarts,
-        "converged": rec.converged,
-        "provenance": rec.provenance,
-    }
-
-
-def bound_record_from_obj(obj: dict) -> BoundRecord:
-    # serialized vectors are rounded for display, so renormalize on parse
-    def vec(pairs):
-        v = np.array([complex(re, im) for re, im in pairs])
-        return v / np.linalg.norm(v)
-
-    argmin = None
-    if obj.get("argmin") is not None:
-        argmin = ProductState(vec(obj["argmin"]["e"]), vec(obj["argmin"]["f"]))
-    argmax = vec(obj["argmax"]) if obj.get("argmax") is not None else None
-    return BoundRecord(
-        design_kind=obj["design_kind"],
-        dim=int(obj["dim"]),
-        size=int(obj["size"]),
-        subset_or_params=obj.get("subset_or_params", ""),
-        lower=float(obj["lower"]),
-        upper=float(obj["upper"]),
-        argmin=argmin,
-        argmax=argmax,
-        restarts=int(obj.get("restarts", 0)),
-        converged=bool(obj.get("converged", True)),
-        provenance=obj.get("provenance"),
-    )
-
-
 def _closed_form_record(spec: CorrelationSpec) -> BoundRecord:
-    d = spec.dim
-    full = d + 1 if spec.kind == "mub" else d * d
-    if spec.size != full:
+    if spec.size != (spec.dim + 1 if spec.kind == "mub" else spec.dim ** 2):
         raise ValueError(
             "closed-form bounds are available only for the full design; "
             "use --bounds recompute for subsets"
         )
-    lower, upper = design_closed_bounds(d, spec.kind)
-    return BoundRecord(
-        design_kind=spec.kind,
-        dim=d,
-        size=spec.size,
-        subset_or_params="closed-form(full design)",
-        lower=lower,
-        upper=upper,
-        argmin=None,
-        argmax=None,
-        restarts=0,
-        converged=True,
-    )
+    lower, upper = design_closed_bounds(spec.dim, spec.kind)
+    return BoundRecord(spec.kind, spec.dim, spec.size, "closed-form(full design)", lower, upper,
+                       argmin=None, argmax=None, restarts=0, converged=True)
 
 
 def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
@@ -200,8 +197,7 @@ def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
     if args.bounds == "cached":
         if not args.bounds_file:
             raise ValueError("--bounds cached requires --bounds-file")
-        with open(args.bounds_file) as fh:
-            return bound_record_from_obj(json.load(fh))
+        return _load(args.bounds_file, _from_json)
     return compute_bound_record(spec.design, _options(args))
 
 
@@ -212,32 +208,22 @@ def cmd_designs(args) -> int:
             "by designs, which print and verify the design itself")
     design = _resolve_design(args)
     if args.action == "show":
-        payload = {"kind": design.kind, "dim": design.dim}
         if design.kind == "mub":
-            payload["bases"] = [[_complex_pairs(v) for v in b] for b in design.groups]
+            payload = {**_to_json(design, ["kind", "dim"]), "bases": _to_json(design.groups)}
         else:
-            payload["vectors"] = [_complex_pairs(v) for v in design.vectors]
-            payload["labels"] = list(design.labels) if design.labels else None
-        payload["provenance"] = design.provenance
-        _emit_json(payload)
+            payload = _to_json(design, ["kind", "dim", "vectors", "labels"])
+        _emit_json({**payload, "provenance": design.provenance})
         return 0
     verify = verify_mub if design.kind == "mub" else verify_sic
     report = verify(design, args.tol)
-    _emit_json({
-        "pass": report.passed,
-        "max_deviation": report.max_deviation,
-        "tolerance": report.tolerance,
-        "kind": report.kind,
-        "dim": report.dim,
-        "count": report.count,
-        "details": dict(report.details),
-    })
+    keys = ["max_deviation", "tolerance", "kind", "dim", "count", "details"]
+    _emit_json({"pass": report.passed, **_to_json(report, keys)})
     return 0
 
 
 def cmd_correlate(args) -> int:
     _reject(args, ("restarts", "seed"), "by correlate, which runs no optimizer")
-    rho = _load_state(args.state)
+    rho = _load(args.state)
     design = _resolve_design(args)
     spec = CorrelationSpec(design, conjugate_second=bool(args.conjugate_second))
     value = correlation_sum(rho, spec)
@@ -262,19 +248,10 @@ def cmd_bounds(args) -> int:
             raise ValueError("--all-subsets is ignored with --family-scan")
         result = d4_family_scan(25 if args.grid_steps is None else args.grid_steps, opts)
         if args.format == "csv":
-            _emit_csv(
-                ["x", "y", "z", "lower"],
-                [(x, y, z, v) for x, y, z, v in result.per_point],
-            )
+            _emit_csv(["x", "y", "z", "lower"], result.per_point)
         else:
-            _emit_json({
-                "l_minus": result.l_minus,
-                "l_plus": result.l_plus,
-                "argmin_params": list(result.argmin_params),
-                "argmax_params": list(result.argmax_params),
-                "grid_steps": result.grid_steps,
-                "points": len(result.per_point),
-            })
+            keys = ["l_minus", "l_plus", "argmin_params", "argmax_params", "grid_steps"]
+            _emit_json({**_to_json(result, keys), "points": len(result.per_point)})
         return 0
     _reject(args, ("grid_steps",), "without --family-scan")
     if args.all_subsets:
@@ -293,26 +270,19 @@ def cmd_bounds(args) -> int:
                 ],
             )
         else:
-            _emit_json({
-                "dim": spectrum.dim,
-                "subset_size": spectrum.subset_size,
-                "l_minus": spectrum.l_minus,
-                "l_plus": spectrum.l_plus,
-                "u_minus": spectrum.u_minus,
-                "u_plus": spectrum.u_plus,
-                "subset_count": len(spectrum.per_subset),
-            })
+            keys = ["dim", "subset_size", "l_minus", "l_plus", "u_minus", "u_plus"]
+            _emit_json({**_to_json(spectrum, keys), "subset_count": len(spectrum.per_subset)})
         return 0
     design = _resolve_design(args)
     record = compute_bound_record(design, opts)
-    _emit_json(bound_record_to_obj(record))
+    _emit_json(_to_json(record, [f.name for f in _RECORD_FIELDS]))
     return 0
 
 
 def cmd_detect(args) -> int:
     if args.state_file:
         _reject(args, ("state", "param"), "with --state-file")
-        rho = _load_state(args.state_file)
+        rho = _load(args.state_file)
         if rho.local_dim != args.d:
             raise ValueError(f"state file has d={rho.local_dim}, requested d={args.d}")
         state_descriptor = {"source": "file", "path": args.state_file}
@@ -327,12 +297,8 @@ def cmd_detect(args) -> int:
     record = _bounds_for(spec, args)
     verdict = detect(rho, spec, record, args.tol)
     _emit_json({
-        "verdict": verdict.verdict.value,
-        "value": verdict.value,
-        "lower_used": verdict.lower_used,
-        "upper_used": verdict.upper_used,
-        "design_descriptor": verdict.design_descriptor,
-        "conjugate_second": verdict.conjugate_second,
+        **_to_json(verdict, ["verdict", "value", "lower_used", "upper_used",
+                             "design_descriptor", "conjugate_second"]),
         "state": state_descriptor,
         "bounds_source": args.bounds,
         "tolerance": args.tol,
@@ -356,18 +322,10 @@ def cmd_scan(args) -> int:
         tol=args.tol,
     )
     if args.format == "csv":
-        _emit_csv(
-            ["parameter", "value", "verdict"],
-            [(r.parameter, r.value, r.verdict) for r in result.rows],
-        )
+        _emit_csv(["parameter", "value", "verdict"], [dataclasses.astuple(r) for r in result.rows])
     else:
-        _emit_json({
-            "family": result.family,
-            "dim": result.dim,
-            "design_descriptor": result.design_descriptor,
-            "first_flip": list(result.first_flip) if result.first_flip else None,
-            "rows": [[r.parameter, r.value, r.verdict] for r in result.rows],
-        })
+        _emit_json({**_to_json(result, ["family", "dim", "design_descriptor", "first_flip"]),
+                    "rows": [dataclasses.astuple(r) for r in result.rows]})
     return 0
 
 
@@ -382,12 +340,8 @@ def cmd_tables(args) -> int:
             ],
         )
     else:
-        _emit_json({
-            "table_id": report.table_id,
-            "tolerance": report.tolerance,
-            "pass": report.passed,
-            "rows": [dataclasses.asdict(r) for r in report.rows],
-        })
+        _emit_json({**_to_json(report, ["table_id", "tolerance"]), "pass": report.passed,
+                    "rows": _to_json(report.rows)})
     return 0
 
 

@@ -23,6 +23,7 @@ from twodesign import (
 from twodesign import bounds
 from twodesign.bounds import (
     SUBSET_CAP,
+    BoundRecord,
     ProductState,
     _cube,
     _grid_lower_bounds,
@@ -49,6 +50,23 @@ def ray_distances(a, b):
     """Largest entry distance between the projectors of rows of ``a`` and of ``b``."""
     pa, pb = (np.einsum("ni,nj->nij", v, v.conj()) for v in (a, b))
     return np.abs(pa[:, None] - pb[None, :]).max(axis=(2, 3))
+
+
+class TestRecordTypes:
+    """Non-finite values are rejected, though every comparison with NaN is false."""
+
+    @pytest.mark.parametrize("e", [[np.nan, 0], [np.inf, 0], [0, 0]], ids=["nan", "inf", "zero"])
+    def test_product_state_rejects_a_non_unit_factor(self, e):
+        with pytest.raises(ValueError, match="factor e is not a finite unit vector"):
+            ProductState(np.array(e, dtype=complex), np.array([1, 0], dtype=complex))
+
+    @pytest.mark.parametrize("lower, upper", [
+        (np.nan, np.nan), (np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 2.0),
+        (np.inf, np.inf),
+    ])
+    def test_bound_record_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError):
+            BoundRecord("mub", 2, 3, "", lower, upper, None, None, restarts=0, converged=True)
 
 
 class TestLowerBound:

@@ -1,5 +1,6 @@
 """Command-line surface: output schemas, round-trips, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,9 +11,17 @@ import numpy as np
 import pytest
 
 from twodesign import save_density, validate_density
-from twodesign.cli import bound_record_from_obj, bound_record_to_obj, main
-from twodesign.bounds import OptimizerOptions, compute_bound_record, separable_lower_bound
-from twodesign.designs import sic_povm
+from twodesign.bounds import (
+    BoundRecord,
+    OptimizerOptions,
+    ProductState,
+    compute_bound_record,
+    separable_lower_bound,
+    subset_bound_spectrum,
+)
+from twodesign.cli import _closed_form_record, _from_json, _to_json, main
+from twodesign.correlations import CorrelationSpec
+from twodesign.designs import sic_povm, standard_mubs
 
 
 def run_cli(capsys, *argv):
@@ -21,9 +30,12 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-#: ``designs`` and ``bounds`` JSON written once by the release that still had
-#: separate MUB and SIC design classes; ``bounds`` entries omit the argmin
-#: and argmax vectors.
+#: The first 16 entries, ``designs`` and ``bounds`` JSON, were written once by
+#: the release that still had separate MUB and SIC design classes.  The last
+#: six (``detect``, ``scan``, ``tables``, ``bounds --all-subsets`` and
+#: ``bounds --family-scan``) were written by the CLI's hand-written
+#: converters, before results were serialized from their dataclass fields.
+#: ``bounds`` entries omit the argmin and argmax vectors.
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
 
 
@@ -98,6 +110,16 @@ class TestDesignsCommand:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_non_finite_value_is_error_not_invalid_json(self, capsys):
+        # a NaN tolerance is echoed back; strict JSON refuses it
+        code, out, err = run_cli(
+            capsys, "designs", "verify", "--design", "mub", "--d", "2", "--tol", "nan"
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("Out of range float values")
+
     def test_unsupported_dimension_is_error(self, capsys):
         code, _, err = run_cli(capsys, "designs", "show", "--design", "mub", "--d", "7")
         assert code == 1
@@ -152,7 +174,7 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert abs(payload["lower"] - 4 / 15) < 1e-4
         assert abs(payload["upper"] - 4 / 3) < 1e-4
-        rec = bound_record_from_obj(payload)
+        rec = _from_json(payload)
         assert rec.size == 3
 
     def test_all_subsets_csv(self, capsys):
@@ -167,7 +189,7 @@ class TestBoundsCommand:
 
     def test_record_round_trip(self):
         rec = compute_bound_record(sic_povm(2).subset(range(3)), OptimizerOptions(seed=0))
-        again = bound_record_from_obj(json.loads(json.dumps(bound_record_to_obj(rec))))
+        again = _from_json(json.loads(json.dumps(_to_json(rec))))
         assert again.lower == rec.lower and again.upper == rec.upper
         np.testing.assert_allclose(again.argmin.e, rec.argmin.e, atol=0)
 
@@ -208,6 +230,129 @@ class TestBoundsCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+#: ``bounds --design sic --d 2 --m 3 --seed 1`` as printed before results were
+#: serialized from their dataclass fields.
+PARENT_BOUNDS_JSON = (
+    '{"design_kind": "sic", "dim": 2, "size": 3, "subset_or_params": "explicit[1,2,3]", '
+    '"lower": 0.266667, "upper": 1.33333, "argmin": {"e": [[0.881465, 0.0], '
+    '[-0.225185, -0.415105]], "f": [[0.151724, 0.0], [-0.555942, -0.817257]]}, '
+    '"argmax": [[0.816484, -1.94526e-22], [0.288669, 0.500024]], "restarts": 64, '
+    '"converged": true, "provenance": "explicit[1,2,3]"}'
+)
+
+RECORD_KEYS = [f.name for f in dataclasses.fields(BoundRecord) if f.name != "indices"]
+
+RECORDS = {
+    "computed": lambda: compute_bound_record(
+        sic_povm(2).subset(range(3)), OptimizerOptions(seed=0)),
+    "closed-form": lambda: _closed_form_record(CorrelationSpec(standard_mubs(3))),
+    # every 2-subset of the d=2 SIC is in the orbit of (1,2): (3,4) is mapped
+    "mapped": lambda: subset_bound_spectrum(
+        sic_povm(2), 2, OptimizerOptions(seed=0, restarts=16)).per_subset[-1],
+}
+
+
+def assert_same_record(got, want):
+    """Field by field, since dataclass ``==`` raises on the array fields."""
+    for key in RECORD_KEYS:
+        g, w = getattr(got, key), getattr(want, key)
+        if isinstance(w, ProductState):
+            np.testing.assert_allclose(g.e, w.e, atol=0)
+            np.testing.assert_allclose(g.f, w.f, atol=0)
+        elif isinstance(w, np.ndarray):
+            np.testing.assert_allclose(g, w, atol=0)
+        else:
+            assert g == w, key
+
+
+class TestBoundsFile:
+    """The JSON that ``bounds`` prints is the file that ``--bounds cached`` reads."""
+
+    #: the closed-form record of the d=2 MUBs, as a bounds file may give it
+    MINIMAL = {"design_kind": "mub", "dim": 2, "size": 3, "lower": 1.0, "upper": 2.0}
+
+    def detect_cached(self, capsys, path):
+        return run_cli(
+            capsys, "detect", "--state", "werner", "--param", "0.0", "--design", "mub",
+            "--d", "2", "--bounds", "cached", "--bounds-file", str(path),
+        )
+
+    def test_keys_are_the_record_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--design", "mub", "--d", "2", "--m", "2")
+        assert code == 0
+        assert list(json.loads(out)) == RECORD_KEYS
+
+    @pytest.mark.parametrize("kind", list(RECORDS))
+    def test_round_trip(self, kind):
+        rec = RECORDS[kind]()
+        assert_same_record(_from_json(json.loads(json.dumps(_to_json(rec)))), rec)
+
+    def test_loads_json_printed_before_the_change(self):
+        want = json.loads(PARENT_BOUNDS_JSON)
+        rec = _from_json(want)
+        got = _to_json(rec, RECORD_KEYS)
+        for key in RECORD_KEYS:
+            if key not in ("argmin", "argmax"):
+                assert_same_json(got[key], want[key], key)
+        # rounded to six digits on output, renormalized on load
+        for vec, pairs in [(rec.argmin.e, want["argmin"]["e"]),
+                           (rec.argmin.f, want["argmin"]["f"]), (rec.argmax, want["argmax"])]:
+            assert abs(np.linalg.norm(vec) - 1) < 1e-15
+            np.testing.assert_allclose(_to_json(vec), pairs, rtol=0, atol=2e-6)
+
+    def test_optional_keys_take_defaults(self, capsys, tmp_path):
+        rec = _from_json(self.MINIMAL)
+        assert (rec.subset_or_params, rec.argmin, rec.argmax) == ("", None, None)
+        assert (rec.restarts, rec.converged, rec.provenance) == (0, True, None)
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(self.MINIMAL))
+        code, out, _ = self.detect_cached(capsys, path)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "EntangledByLower"
+
+    @pytest.mark.parametrize("lower, upper", [
+        (float("nan"), float("nan")), (float("nan"), 2.0), (1.0, float("nan")),
+        (1.0, float("inf")), (float("-inf"), 2.0),
+    ])
+    def test_non_finite_bounds_are_rejected(self, capsys, tmp_path, lower, upper):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({**self.MINIMAL, "lower": lower, "upper": upper}))
+        code, out, err = self.detect_cached(capsys, path)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("e", [[[0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.0], [1.0, 0.0]]],
+                             ids=["zero", "nan"])
+    def test_unnormalizable_vector_is_rejected(self, capsys, tmp_path, e):
+        path = tmp_path / "bounds.json"
+        argmin = {"e": e, "f": [[1.0, 0.0], [0.0, 0.0]]}
+        path.write_text(json.dumps({**self.MINIMAL, "argmin": argmin}))
+        # a RuntimeWarning from dividing by a zero norm would be an error here too
+        code, out, err = self.detect_cached(capsys, path)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "cannot be normalized" in payload["message"]
+
+    def test_invalid_json_reports_location(self, capsys, tmp_path):
+        path = tmp_path / "bounds.json"
+        path.write_text('{"design_kind": "mub",\n "dim": 2,, "size": 3}')
+        code, out, err = self.detect_cached(capsys, path)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(f"{path}: invalid JSON at line 2, column ")
+
+    def test_missing_key_names_key_and_file(self, capsys, tmp_path):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({k: v for k, v in self.MINIMAL.items() if k != "lower"}))
+        code, out, err = self.detect_cached(capsys, path)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": f"{path}: missing required key 'lower'",
+        }
 
 
 IGNORED_FLAGS = [
@@ -328,7 +473,7 @@ class TestDetectCommand:
     def test_cached_bounds(self, capsys, tmp_path):
         rec = compute_bound_record(sic_povm(2), OptimizerOptions(seed=0))
         path = tmp_path / "bounds.json"
-        path.write_text(json.dumps(bound_record_to_obj(rec)))
+        path.write_text(json.dumps(_to_json(rec)))
         code, out, _ = run_cli(
             capsys, "detect", "--state", "werner", "--param", "0.1",
             "--design", "sic", "--d", "2", "--bounds", "cached",
