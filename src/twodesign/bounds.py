@@ -15,15 +15,17 @@ bounds.  Each restart retires at the first sweep whose improvement falls
 below ``TOL`` and keeps its state and objective; later
 sweeps compute only the restarts still active, so each ends bit for bit
 as it would alone.  The batch stops ``stationary`` when none is active, or
-``max_sweeps`` when one still improves after ``OptimizerOptions.max_sweeps``;
-the best restart is then polished.  A minimizing restart whose gain has
-stopped shrinking also takes Newton steps (:func:`_newton_step`).
+``max_sweeps`` when one still improves after ``OptimizerOptions.max_sweeps``.
+A restart whose gain has stopped shrinking also takes Newton steps
+(:func:`_newton_step`), at both ends.  Each bound is one kernel call and
+reports its best restart as the kernel left it.
 
 The upper bound equals the maximum of ``F(e) = sum_v |<v|e>|^4``
 (arithmetic-geometric mean argument).  The kernel, maximizing and started
 at f = e, climbs it: its half-steps are then the fixed-point ascent
 ``a -> top eigenvector of sum_v |<v|a>|^2 |v><v|`` (e_1 = a_1, f_1 = a_2,
-e_2 = a_3, ...), so one sweep is two ascent steps.  The maximum is also
+e_2 = a_3, ...), so one sweep is two ascent steps until Newton steps
+may start (sweep ``_NEWTON_AFTER``).  The maximum is also
 proved from above: F(e) is ``<e e|Q|e e>`` with ``Q = sum_v (|v><v|)^(x2)``,
 so no product state exceeds the level-2 eigenvalue
 ``lambda = lambda_max(P_sym Q P_sym)`` (Doherty & Wehner, arXiv:1210.5048),
@@ -218,9 +220,11 @@ _REAL_FORM = np.array([[1.0, 1.0j], [-1.0j, 1.0]])[:, None, :]
 def _newton_step(v1c, frame_e, frame_f, vals_f, w_f, obj):
     """One Newton step on the product of the unit spheres: (e, f, w_f, objective).
 
-    (e, f) is column 0 of the minimizing half-steps' eigenvector frames; the
-    coordinates are the (Re, Im) pairs of x, y in e + T_e x, f + T_f y over the
-    other columns (no phase).  Halved, the gradient is T_e^H M_f e (zero in f)
+    (e, f) is column 0 of the half-steps' eigenvector frames, ordered from
+    the extreme eigenvalue (the least for a minimum, the largest for a
+    maximum; the step does not depend on which); the coordinates are the
+    (Re, Im) pairs of x, y in e + T_e x, f + T_f y over the other columns
+    (no phase).  Halved, the gradient is T_e^H M_f e (zero in f)
     and the Hessian blocks are T_e^H M_f T_e - F, diag(vals_f) - F, 2 X^T Y,
     rows X = Re(conj<v|e> <v|T_e>), Y likewise.  Every product is per
     restart; a singular Hessian gives a zero step.
@@ -260,14 +264,14 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
     With ``certify`` (a :class:`_Level2Certificate`, when maximizing), each
     sweep whose best active restart lies within ``CERTIFY_WINDOW`` of
     ``certify.value`` tries a certificate step from its f; one that succeeds
-    ends the call.  A minimizing restart's Newton step is kept only where it
-    lowers the objective, so every value is the objective at a product state
-    and never rises.  With ``threshold`` (minimizing; ``threshold[i]`` for
-    row i of the batch less its last axis), a row retires whole, not
-    stationary, once one of its restarts reaches it: no objective rises, so
-    the row's minimum ends at or below it.  Returns the final (e, f),
-    per-item objective, stationarity (retired within ``max_sweeps``) and
-    sweeps used.
+    ends the call.  A Newton step is kept only where it improves the
+    objective, so every value is the objective at a product state and each
+    restart's objective is monotone.  With ``threshold`` (minimizing;
+    ``threshold[i]`` for row i of the batch less its last axis), a row
+    retires whole, not stationary, once one of its restarts reaches it: no
+    objective rises, so the row's minimum ends at or below it.  Returns the
+    final (e, f), per-item objective, stationarity (retired within
+    ``max_sweeps``) and sweeps used.
     """
     batch, d = e.shape[:-1], e.shape[-1]
     count = math.prod(batch)
@@ -291,23 +295,25 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
         f, vals_f, frame_f = _eig_extreme(_weighted_frame(w_e, v1, v1c), maximize=not minimize)
         w_f = _amps_sq(v1c, f)
         obj = np.sum(w_e * w_f, axis=-1)
-        if minimize and sweep >= _NEWTON_AFTER:
-            slow = np.nonzero(prev - obj > _NEWTON_RATIO * gain)
+        if sweep >= _NEWTON_AFTER:
+            slow = np.nonzero(sign * (prev - obj) > _NEWTON_RATIO * gain)
+            if not minimize:  # the extreme column first
+                frame_e, frame_f, vals_f = frame_e[..., ::-1], frame_f[..., ::-1], vals_f[..., ::-1]
             for lo in range(0, slow[0].size, _NEWTON_CHUNK):
                 at = tuple(i[lo : lo + _NEWTON_CHUNK] for i in slow)
                 vc = v1c if shared else np.broadcast_to(v1c, obj.shape + v1c.shape[-2:])[at]
                 new = _newton_step(vc, frame_e[at], frame_f[at], vals_f[at], w_f[at], obj[at])
-                down = new[3] < obj[at]  # keep only steps that lower the objective
-                at = tuple(i[down] for i in at)
-                e[at], f[at], w_f[at], obj[at] = (x[down] for x in new)
-        gain = prev - obj
+                better = sign * new[3] < sign * obj[at]  # keep only steps that improve
+                at = tuple(i[better] for i in at)
+                e[at], f[at], w_f[at], obj[at] = (x[better] for x in new)
+        gain = sign * (prev - obj)
         obj_out[live] = obj
         if certify is not None:
             best = int(np.argmax(obj))
             if obj[best] >= certify.value - CERTIFY_WINDOW and certify.step(f[best]):
                 e_out[live], f_out[live], used[live] = e, f, sweep + 1
                 break
-        done = settled = sign * (prev - obj) < tol
+        done = settled = gain < tol
         if threshold is not None:
             rows = live // batch[-1]
             cut = np.isin(rows, rows[obj <= threshold[rows]])
@@ -400,39 +406,17 @@ def _canonical_vector(vec: np.ndarray) -> np.ndarray:
     return vec * phase.conj()
 
 
-def _resolve_degenerate(m: np.ndarray, minimize: bool) -> np.ndarray:
-    """Extreme eigenvector with the documented tie-break.
-
-    Among the solver's eigenvectors within 1e-12 of the extreme eigenvalue,
-    take the one whose first component has the largest real part after phase
-    canonicalization; this affects only which optimizer is reported, never
-    the bound value.
-    """
-    vals, vecs = np.linalg.eigh(m)
-    extreme = vals[0] if minimize else vals[-1]
-    cols = [i for i, lam in enumerate(vals) if abs(lam - extreme) <= 1e-12]
-    cands = [_canonical_vector(vecs[:, i]) for i in cols]
-    return max(cands, key=lambda c: c[0].real)
-
-
-def _polish_two_vector(v1, e, f, *, minimize):
-    """Deep-converge one candidate: (e, f, objective)."""
-    e, f, obj, *_ = _two_vector_iterate(
-        v1[None], e[None], f[None], minimize=minimize, tol=1e-15, max_sweeps=5000
-    )
-    return e[0], f[0], float(obj[0])
-
-
 def separable_lower_bound(
     design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> LowerBoundResult:
     """Minimize the correlation sum over product states |e> x |f>.
 
     Alternating exact eigenvector updates (each half-step solves its
-    subproblem exactly), multistarted; each restart retires once stationary
-    and the best one is polished and returned with its product state.  A
-    restart still improving after ``opts.max_sweeps`` makes the stop reason
-    ``max_sweeps`` (``converged`` false), which is reported, never raised.
+    subproblem exactly) with Newton steps on slow tails, multistarted; each
+    restart retires once stationary, and the best one is returned with its
+    product state.  A restart still improving after ``opts.max_sweeps``
+    makes the stop reason ``max_sweeps`` (``converged`` false), which is
+    reported, never raised.
     """
     v = design.vectors
     d = design.dim
@@ -444,16 +428,10 @@ def separable_lower_bound(
         v[None], e0, f0, minimize=True, tol=TOL, max_sweeps=opts.max_sweeps
     )
     best = int(np.argmin(obj))
-    e_b, f_b, _ = _polish_two_vector(v, e[best], f[best], minimize=True)
-    # deterministic reported minimizer: re-solve the final half-steps with the
-    # documented degeneracy tie-break (value-preserving for the bilinear form)
-    w_f = _amps_sq(v.conj(), f_b)
-    e_b = _resolve_degenerate(_weighted_frame(w_f, v, v.conj()), minimize=True)
-    w_e = _amps_sq(v.conj(), e_b)
-    f_b = _resolve_degenerate(_weighted_frame(w_e, v, v.conj()), minimize=True)
+    e_b, f_b = _canonical_vector(e[best]), _canonical_vector(f[best])
     return LowerBoundResult(
         value=_product_value(v, e_b, f_b),
-        minimizer=ProductState(_canonical_vector(e_b), _canonical_vector(f_b)),
+        minimizer=ProductState(e_b, f_b),
         stop_reason="stationary" if stationary.all() else "max_sweeps",
         restarts=restarts,
         sweeps=int(used.max()),
@@ -468,7 +446,8 @@ def separable_upper_bound(
     Runs the kernel from e = f (on ``sum_v |<v|e>|^4``, which the product-state
     maximum equals by the mean inequality) until the certificate step reaches
     the level-2 eigenvalue, every restart is stationary, or
-    ``opts.max_sweeps`` is spent; the latter two polish the best restart.
+    ``opts.max_sweeps`` is spent; the latter two report the f of the best
+    restart.
     """
     v = design.vectors
     cert = _Level2Certificate(v)
@@ -482,14 +461,7 @@ def separable_upper_bound(
         stop_reason, e_b = "certified", cert.maximizer
     else:
         stop_reason = "stationary" if stationary.all() else "max_sweeps"
-        f_b = f[int(np.argmax(obj))]
-        e_b = _canonical_vector(_polish_two_vector(v, f_b, f_b, minimize=False)[1])
-        # tie-break among the top eigenspace only when it preserves the
-        # quartic objective; otherwise keep the polished maximizer
-        w = _amps_sq(v.conj(), e_b)
-        cand = _resolve_degenerate(_weighted_frame(w, v, v.conj()), minimize=False)
-        if _product_value(v, cand, cand) >= _product_value(v, e_b, e_b) - 1e-12:
-            e_b = cand
+        e_b = _canonical_vector(f[int(np.argmax(obj))])
     return UpperBoundResult(
         value=_product_value(v, e_b, e_b),
         maximizer=e_b,
@@ -768,7 +740,7 @@ def d4_family_scan(
     value.  The best ``refine_count`` orbits for the maximum and the
     minimum, each entered at its first grid point, are refined together
     (:func:`_refine`); each distinct orbit among the grid and refined
-    candidates is confirmed once with the full polished optimizer, at its
+    candidates is confirmed once with the full lower bound, at its
     first candidate reduced modulo pi.
     """
     if grid_steps < 9:

@@ -156,6 +156,15 @@ def _check_bounds_match(spec: CorrelationSpec, bounds: BoundRecord) -> None:
         )
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and non-negative.
+
+    A negative band would flag values on or inside the separable bounds.
+    """
+    if not 0 <= tol < np.inf:  # stated as the range that must hold, so NaN fails it
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def _classify(value: float, bounds: BoundRecord, tol: float = 1e-9) -> Verdict:
     """The verdict on one correlation sum: entangled beyond either bound by ``tol``."""
     if value < bounds.lower - tol:
@@ -175,8 +184,10 @@ def detect(
 
     A value below ``lower - tol`` or above ``upper + tol`` certifies
     entanglement; anything within the band is inconclusive.  Bounds that
-    name their design's provenance must name the spec's.
+    name their design's provenance must name the spec's.  ``tol`` must be
+    finite and non-negative.
     """
+    _check_tol(tol)
     _check_bounds_match(spec, bounds)
     value = correlation_sum(rho, spec)
     return DetectionVerdict(

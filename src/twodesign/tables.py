@@ -36,7 +36,7 @@ from .bounds import (
 from .core import DimensionMismatchError, _check_densities
 from .correlations import CorrelationSpec
 from .designs import mub_triple_family_d4, sic_povm, standard_mubs
-from .states import _check_bounds_match, _classify, _family_matrices
+from .states import _check_bounds_match, _check_tol, _classify, _family_matrices
 from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
 
 TABLE_IDS = ("I", "II", "III", "IV", "V", "EQ12")
@@ -370,16 +370,18 @@ def scan_family(
 
     Each row is what ``detect(symmetric_state(...), spec, bounds, tol)``
     gives at that parameter (clipped into [0, 1] for the state), without a
-    state object per point: the design match is checked once per scan, and
-    the parameters go in chunks of ``SCAN_CHUNK``.  Each chunk is one stack
-    of the family's matrices, built in the single-state constructors'
-    operations, put through :func:`~twodesign.core.validate_density`'s
-    checks, and contracted with the witness in one ``einsum``.
+    state object per point: the design match and ``tol`` are checked once
+    per scan, and the parameters go in chunks of ``SCAN_CHUNK``.  Each chunk
+    is one stack of the family's matrices, built in the single-state
+    constructors' operations, put through
+    :func:`~twodesign.core.validate_density`'s checks, and contracted with
+    the witness in one ``einsum``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError(f"stop {stop} is below start {start}")
+    _check_tol(tol)
     _check_bounds_match(spec, bounds)
     if d != spec.dim:
         raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")

@@ -29,7 +29,6 @@ from twodesign.bounds import (
     _grid_lower_bounds,
     _orbit_key,
     _params_mod_pi,
-    _polish_two_vector,
     _random_unit,
     _two_vector_iterate,
 )
@@ -124,7 +123,9 @@ class TestUpperBound:
                 v[None], starts[0], starts[1], minimize=False, tol=1e-12, max_sweeps=2000
             )
             best = int(np.argmax(obj))
-            reference = _polish_two_vector(v, e[best], f[best], minimize=False)[2]
+            reference = _two_vector_iterate(
+                v[None], e[best][None], f[best][None], minimize=False, tol=1e-15, max_sweeps=5000
+            )[2][0]
             res = separable_upper_bound(design, OPTS)
             assert abs(res.value - reference) < 1e-7
 
@@ -134,6 +135,13 @@ FLAT_CELLS = (
     [sic_povm(2).subset(c) for c in itertools.combinations(range(4), 3)]
     + [sic_povm(3).subset(c) for m in (7, 8) for c in itertools.combinations(range(9), m)]
     + [sic_povm(2), sic_povm(3), standard_mubs(3)]
+)
+
+
+#: Designs on which the maximizing kernel is checked against the ascent.
+ASCENT_DESIGNS = (
+    sic_povm(3).subset(range(4)), sic_povm(3).subset(range(5)),
+    sic_povm(4).subset(range(7)), standard_mubs(3).subset([0, 1]),
 )
 
 
@@ -161,16 +169,12 @@ class TestUpperStopReasons:
         assert res.sweeps == 3
         assert not res.converged
 
-    @pytest.mark.parametrize("sweeps", [1, 5, 20])
+    @pytest.mark.parametrize("sweeps", [1, 5, bounds._NEWTON_AFTER])
     def test_kernel_from_equal_starts_is_the_ascent(self, sweeps):
         # maximizing from f = e, each half-step is one step of the ascent
         # a -> top eigenvector of sum_v |<v|a>|^2 |v><v|, so k sweeps end at
-        # the 2k-th ascent iterate
-        designs = (
-            sic_povm(3).subset(range(4)), sic_povm(3).subset(range(5)),
-            sic_povm(4).subset(range(7)), standard_mubs(3).subset([0, 1]),
-        )
-        for design in designs:
+        # the 2k-th ascent iterate until Newton steps may start
+        for design in ASCENT_DESIGNS:
             v = design.vectors
             a = e0 = _random_unit(np.random.default_rng(0), (8, v.shape[1]))
             for _ in range(2 * sweeps):
@@ -181,6 +185,33 @@ class TestUpperStopReasons:
                 v[None], e0, e0, minimize=False, tol=-np.inf, max_sweeps=sweeps
             )[1]
             assert ray_distances(a, f).diagonal().max() < 1e-12, design.provenance
+
+    def test_kernel_reaches_the_ascent_limit(self):
+        # with Newton steps each restart ends where 5,000 sweeps of the pure
+        # ascent (10,000 steps) end
+        for design in ASCENT_DESIGNS:
+            v = design.vectors
+            a = e0 = _random_unit(np.random.default_rng(0), (8, v.shape[1]))
+            for _ in range(10000):
+                w = np.abs(a @ v.conj().T) ** 2
+                a = np.linalg.eigh(np.einsum("bn,ni,nj->bij", w, v, v.conj()))[1][..., -1]
+            limit = np.sum(np.abs(a @ v.conj().T) ** 4, axis=-1)
+            obj = _two_vector_iterate(
+                v[None], e0, e0, minimize=False, tol=bounds.TOL, max_sweeps=2000
+            )[2]
+            assert np.abs(obj - limit).max() <= 1e-12, design.provenance
+
+    def test_d4_mub_triple_stationary_within_100_sweeps(self):
+        design = standard_mubs(4).subset(range(3))
+        res = separable_upper_bound(design, OPTS)
+        assert res.stop_reason == "stationary" and res.sweeps < 100, res.sweeps
+        assert abs(res.value - 1.5) <= 1e-12
+
+    def test_d3_sic_pair_stationary(self):
+        # a degenerate maximum, 9/8, which first-order sweeps never settled
+        res = separable_upper_bound(sic_povm(3).subset([0, 1]), OPTS)
+        assert res.stop_reason == "stationary" and res.converged
+        assert abs(res.value - 9 / 8) <= 1e-9
 
     def test_d4_mub_triple_stationary(self):
         design = standard_mubs(4).subset(range(3))
@@ -456,6 +487,21 @@ class TestPublishedTableDefects:
 
 
 class TestOptimizerProperties:
+    def test_each_bound_is_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = bounds._two_vector_iterate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["minimize"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_two_vector_iterate", counting)
+        design = sic_povm(3).subset(range(4))
+        separable_lower_bound(design, OPTS)
+        assert calls == [True]
+        separable_upper_bound(design, OPTS)
+        assert calls == [True, False]
+
     def test_monotone_descent_history(self):
         # the same starts run for 1, 2, ..., 40 sweeps: no restart's objective
         # ever rises from one budget to the next

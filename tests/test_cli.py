@@ -506,6 +506,17 @@ class TestDetectCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "Inconclusive"
 
+    @pytest.mark.parametrize("tol", ["-5", "nan"])
+    def test_negative_or_nan_tol_is_error(self, capsys, tol):
+        # with --tol -5 the floor value 1.0 used to read EntangledByLower
+        code, out, err = run_cli(
+            capsys, "detect", "--state", "werner", "--param", "0.5",
+            "--design", "mub", "--d", "2", "--bounds", "closed-form", "--tol", tol,
+        )
+        assert code == 1 and out == ""
+        message = f"tol must be finite and non-negative, got {float(tol)!r}"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
 
 class TestScanCommand:
     def test_werner_csv_flip(self, capsys):
@@ -564,6 +575,16 @@ class TestScanCommand:
         )
         assert code == 1 and out == ""
         assert "below start" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("tol", ["-5", "nan"])
+    def test_negative_or_nan_tol_is_error(self, capsys, tol):
+        # with --tol -5 the separable p = 0.6 used to be flagged
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "werner", "--d", "2", "--design", "mub", "--d", "2",
+            "--bounds", "closed-form", "--start", "0.6", "--stop", "0.6", "--tol", tol,
+        )
+        assert code == 1 and out == ""
+        assert "tol must be finite and non-negative" in json.loads(err)["message"]
 
 
 class TestTablesCommand:

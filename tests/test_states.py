@@ -207,6 +207,17 @@ class TestDetect:
         own = compute_bound_record(other, OPTS)
         assert detect(rho, CorrelationSpec(other), own).verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("tol", [-5.0, -1e-12, np.nan, np.inf])
+    def test_rejects_a_negative_or_non_finite_tol(self, tol):
+        # a negative band would flag the floor itself: werner p = 0.5 sits on it
+        spec = CorrelationSpec(standard_mubs(2))
+        record = closed_form_record(standard_mubs(2), "mub")
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            detect(werner_state(2, 0.5), spec, record, tol)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            scan_family("werner", 2, spec, record, tol=tol)
+        assert detect(werner_state(2, 0.5), spec, record, 0.0).value == pytest.approx(1.0)
+
     def test_subsets_from_generators_mismatch(self):
         # each generator is read once, so the two pairs of bases keep their
         # own provenance and the record of one cannot judge the other
