@@ -49,8 +49,9 @@ at its first restart that falls to the candidate's value: it cannot win.
 A subset enumeration runs both optimizers only on the first subset of
 each orbit of the design's symmetry group (the unitaries and
 anti-unitaries that permute its vectors up to phases, found from the
-triple products).  Every other subset's states are the representative's
-moved by a group element and re-evaluated on its own vectors.
+triple products once per distinct vector set).  Every other subset's
+states are the representative's moved by a group element, all in one
+batched product, and re-evaluated on its own vectors.
 
 All optimizers are multistarted from a seeded generator and deterministic:
 a fixed seed yields a bit-identical result.
@@ -59,6 +60,7 @@ a fixed seed yields a bit-identical result.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -543,7 +545,8 @@ def _symmetry_group(v: np.ndarray):
     M = sum_i c_i |v[perms[i]]><s_i| (s = v, or conj(v) for an anti-unitary;
     c_i from the Gram entries with vector 0, which never vanish in a SIC
     set), kept only if it is unitary and maps every vector within 1e-12.
-    Vectors that do not span the space leave M singular, and no element.
+    Vectors that do not span the space leave M singular, and no element;
+    a vanishing Gram entry leaves its c_i undefined and drops the element.
     """
     n, d = v.shape
     gram = v.conj() @ v.T
@@ -564,15 +567,28 @@ def _symmetry_group(v: np.ndarray):
     s = np.where(anti[:, None, None], v.conj(), v)
     # <s_0|s_i> <v[perms[i]]|v[perms[0]]> is the phase of c_i (c_0 = 1)
     phase = np.where(anti[:, None], gram[0].conj(), gram[0]) * gram[perms, perms[:, :1]]
-    target = (phase / np.abs(phase))[..., None] * v[perms]
-    m = np.swapaxes(target, 1, 2) @ s.conj()
-    lam, vec = np.linalg.eigh(np.swapaxes(m.conj(), 1, 2) @ m)
     with np.errstate(divide="ignore", invalid="ignore"):
+        target = (phase / np.abs(phase))[..., None] * v[perms]
+        m = np.swapaxes(target, 1, 2) @ s.conj()
+        lam, vec = np.linalg.eigh(np.swapaxes(m.conj(), 1, 2) @ m)
         unitaries = m @ (vec / np.sqrt(lam)[:, None, :]) @ np.swapaxes(vec.conj(), 1, 2)
         maps = np.abs(s @ np.swapaxes(unitaries, 1, 2) - target).max(axis=(1, 2)) <= 1e-12
         gram_u = unitaries @ np.swapaxes(unitaries.conj(), 1, 2)
         keep = maps & (np.abs(gram_u - np.eye(d)).max(axis=(1, 2)) <= 1e-12)
     return perms[keep], unitaries[keep], anti[keep]
+
+
+@functools.lru_cache(maxsize=8)
+def _design_group(data: bytes, shape: tuple[int, int]):
+    """:func:`_symmetry_group` of the complex vectors with these bytes and shape.
+
+    The group depends only on the vectors, so it is searched once per
+    distinct set and shared, read-only, by every later call.
+    """
+    group = _symmetry_group(np.frombuffer(data, dtype=complex).reshape(shape))
+    for a in group:
+        a.setflags(write=False)
+    return group
 
 
 def _orbits(combos: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -604,37 +620,22 @@ def _orbits(combos: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return source, element
 
 
-def _mapped_record(rep: BoundRecord, design: Design, label: str, u, anti) -> BoundRecord:
-    """``rep``'s states moved by the symmetry (u, anti) and re-evaluated on ``design``."""
-    def move(x):
-        return _canonical_vector(u @ (x.conj() if anti else x))
-
-    e, f, top = move(rep.argmin.e), move(rep.argmin.f), move(rep.argmax)
-    return replace(
-        rep,
-        subset_or_params=label,
-        lower=_product_value(design.vectors, e, f),
-        upper=_product_value(design.vectors, top, top),
-        argmin=ProductState(e, f),
-        argmax=top,
-        provenance=design.provenance,
-        indices=design.indices,
-    )
-
-
 def subset_bound_spectrum(
     sic: Design, subset_size: int, opts: OptimizerOptions = DEFAULT_OPTIONS
 ) -> SubsetSpectrum:
     """Bounds for every ``subset_size``-subset of a SIC set, plus their extrema.
 
     A subset's bounds do not change under a unitary or anti-unitary that
-    maps the whole set onto itself (:func:`_symmetry_group`), so both
-    optimizers run only on the first subset of each orbit, in lexicographic
-    order, with the seed of its index k: the k-th child that ``spawn`` would
-    give ``opts.seed``, made without spawning.  Every other subset gets
-    that record's minimizer and maximizer moved by the symmetry, with
-    ``lower`` and ``upper`` re-evaluated on its own vectors.
+    maps the whole set onto itself (:func:`_symmetry_group`, searched once
+    per distinct vector set), so both optimizers run only on the first
+    subset of each orbit, in lexicographic order, with the seed of its index
+    k: the k-th child that ``spawn`` would give ``opts.seed``, made without
+    spawning.  Every other subset gets that record's minimizer and maximizer
+    moved by the symmetry, all in one batched product, with ``lower`` and
+    ``upper`` re-evaluated on its own vectors.
     """
+    if sic.kind != "sic":
+        raise ValueError(f"subset spectra enumerate SIC subsets, got a {sic.kind!r} design")
     total = sic.count
     if subset_size > total:
         raise ValueError("subset size exceeds the design")
@@ -647,20 +648,35 @@ def subset_bound_spectrum(
             "evaluate sampled subsets explicitly"
         )
     combos = list(itertools.combinations(range(total), subset_size))
+    tags = [",".join(str(i + 1) for i in combo) for combo in combos]
     root = opts.seed
     root = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
-    perms, unitaries, anti = _symmetry_group(sic.vectors)
-    source, element = _orbits(np.array(combos), perms)
-    records = []
-    for k, combo in enumerate(combos):
-        design = sic.subset(combo)
-        label = "(" + ",".join(str(i + 1) for i in combo) + ")"
-        if source[k] == k:
-            seed = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (k,))
-            records.append(compute_bound_record(design, replace(opts, seed=seed), label=label))
-        else:
-            g = element[k]
-            records.append(_mapped_record(records[source[k]], design, label, unitaries[g], anti[g]))
+    perms, unitaries, anti = _design_group(sic.vectors.tobytes(), sic.vectors.shape)
+    rows = np.array(combos)
+    source, element = _orbits(rows, perms)
+    records = [None] * n_subsets
+    states = np.zeros((n_subsets, 3, sic.dim), dtype=complex)  # argmin e, f and argmax
+    for k in np.flatnonzero(source == np.arange(n_subsets)):
+        seed = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (int(k),))
+        design = sic.subset(combos[k])
+        records[k] = compute_bound_record(design, replace(opts, seed=seed), label=f"({tags[k]})")
+        states[k] = records[k].argmin.e, records[k].argmin.f, records[k].argmax
+    mapped = np.flatnonzero(source != np.arange(n_subsets))
+    g = element[mapped]
+    moved = states[source[mapped]]
+    moved = np.where(anti[g, None, None], moved.conj(), moved) @ np.swapaxes(unitaries[g], 1, 2)
+    # the phase rule of _canonical_vector, on every moved state at once
+    lead = np.take_along_axis(moved, np.argmax(np.abs(moved) > 1e-8, axis=-1)[..., None], -1)
+    moved = moved * (lead / np.abs(lead)).conj()
+    amps = _amps_sq(sic.vectors[rows[mapped]].conj()[:, None], moved)  # (M, 3, subset_size)
+    lower = np.sum(amps[:, 0] * amps[:, 1], axis=-1)
+    upper = np.sum(amps[:, 2] * amps[:, 2], axis=-1)
+    for k, lo, up, (e, f, top) in zip(mapped, lower, upper, moved):
+        records[k] = replace(
+            records[source[k]], subset_or_params=f"({tags[k]})", lower=float(lo), upper=float(up),
+            argmin=ProductState(e, f), argmax=top, provenance=f"{sic.provenance}[{tags[k]}]",
+            indices=combos[k],
+        )
     lows = [r.lower for r in records]
     highs = [r.upper for r in records]
     return SubsetSpectrum(

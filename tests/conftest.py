@@ -8,9 +8,9 @@ from twodesign import OptimizerOptions, subset_bound_spectrum, sic_povm
 def hesse_spectra():
     """Full subset enumeration of the d=3 SIC for every subset size.
 
-    The optimizers run once per symmetry orbit (11 orbits for sizes 3-9),
-    so this takes about 0.3-0.4 s on 2 cores.  Returns the spectra keyed
-    by subset size.
+    The optimizers run once per symmetry orbit (11 orbits for sizes 3-9)
+    and the group is searched at most once, so this takes about 0.1-0.2 s
+    on 2 cores.  Returns the spectra keyed by subset size.
     """
     sic = sic_povm(3)
     opts = OptimizerOptions(seed=0)

@@ -1,5 +1,6 @@
 """Separable-bound optimizers: published values, invariants, determinism."""
 
+import dataclasses
 import itertools
 import math
 
@@ -360,6 +361,27 @@ class TestSubsetSpectrum:
         with pytest.raises(ValueError, match="subset size"):
             subset_bound_spectrum(sic_povm(3), size, OPTS)
 
+    def test_rejects_a_mub_design(self):
+        with pytest.raises(ValueError, match="'mub'"):
+            subset_bound_spectrum(standard_mubs(3), 2, OPTS)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_orthogonal_pair_is_enumerated_subset_by_subset(self, size):
+        # a vanishing Gram entry drops every group element, silently, so
+        # every subset is its own representative
+        pair = Design("sic", 2, [[1, 0], [0, 1]])
+        spec = subset_bound_spectrum(pair, size, OPTS)
+        combos = list(itertools.combinations(range(2), size))
+        seeds = np.random.SeedSequence(OPTS.seed).spawn(len(combos))
+        for got, combo, seed in zip(spec.per_subset, combos, seeds):
+            want = compute_bound_record(
+                pair.subset(combo), OptimizerOptions(seed=seed), label=_label(combo)
+            )
+            assert (got.subset_or_params, got.provenance, got.indices) == (
+                want.subset_or_params, want.provenance, want.indices
+            )
+            assert (got.lower, got.upper, got.converged) == (want.lower, want.upper, want.converged)
+
 
 def _label(combo):
     return "(" + ",".join(str(i + 1) for i in combo) + ")"
@@ -453,6 +475,73 @@ class TestSubsetOrbits:
         assert not (perms == swap).all(axis=1).any()
         change = max(abs(upper[tuple(sorted(swap[list(s)]))] - u) for s, u in upper.items())
         assert change > 1e-3
+
+
+def _mapped_reference(rep, sic, combo, u, anti):
+    """A mapped record as the loop over subsets made it: its own design and
+    the representative's states moved one at a time."""
+    design = sic.subset(combo)
+
+    def move(x):
+        return bounds._canonical_vector(u @ (x.conj() if anti else x))
+
+    e, f, top = move(rep.argmin.e), move(rep.argmin.f), move(rep.argmax)
+    value = bounds._product_value
+    return dataclasses.replace(
+        rep, subset_or_params=_label(combo), lower=value(design.vectors, e, f),
+        upper=value(design.vectors, top, top), argmin=ProductState(e, f), argmax=top,
+        provenance=design.provenance, indices=design.indices,
+    )
+
+
+class TestSubsetGroupReuse:
+    """The group is searched once per design; the mapped subsets move in one batch."""
+
+    def test_group_searched_once_per_vector_set(self, monkeypatch):
+        calls = []
+        real = bounds._symmetry_group
+
+        def counted(v):
+            calls.append(v.shape)
+            return real(v)
+
+        monkeypatch.setattr(bounds, "_symmetry_group", counted)
+        bounds._design_group.cache_clear()
+        sic = sic_povm(3)
+        for size in range(1, 10):
+            subset_bound_spectrum(sic, size, OPTS)
+        assert calls == [(9, 3)]
+        subset_bound_spectrum(sic_povm(3), 4, OPTS)  # built afresh, same vectors
+        assert calls == [(9, 3)]
+
+    def test_cached_group_is_read_only(self):
+        v = sic_povm(2).vectors
+        for a in bounds._design_group(v.tobytes(), v.shape):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+    @pytest.mark.parametrize(
+        "d, size", [(2, m) for m in range(1, 5)] + [(3, m) for m in range(1, 10)] + [(4, 2), (4, 3)]
+    )
+    def test_batched_move_matches_the_loop(self, d, size):
+        sic = sic_povm(d)
+        spec = subset_bound_spectrum(sic, size, OPTS)
+        perms, unitaries, anti = bounds._symmetry_group(sic.vectors)
+        combos = list(itertools.combinations(range(d * d), size))
+        source, element = bounds._orbits(np.array(combos), perms)
+        meta = ("design_kind", "dim", "size", "subset_or_params", "restarts", "converged",
+                "provenance", "indices")
+        for k, (got, combo) in enumerate(zip(spec.per_subset, combos)):
+            if source[k] == k:
+                continue
+            g = element[k]
+            want = _mapped_reference(spec.per_subset[source[k]], sic, combo, unitaries[g], anti[g])
+            assert [getattr(got, n) for n in meta] == [getattr(want, n) for n in meta]
+            assert abs(got.lower - want.lower) <= 1e-14 and abs(got.upper - want.upper) <= 1e-14
+            for x, y in ((got.argmin.e, want.argmin.e), (got.argmin.f, want.argmin.f),
+                         (got.argmax, want.argmax)):
+                assert 1 - abs(np.vdot(x, y)) <= 1e-12, got.subset_or_params
+                assert np.abs(bounds._canonical_vector(x) - x).max() <= 1e-15  # phase fixed
 
 
 class TestPublishedTableDefects:
