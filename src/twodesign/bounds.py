@@ -402,10 +402,13 @@ def _product_value(v: np.ndarray, e: np.ndarray, f: np.ndarray) -> float:
 
 
 def _canonical_vector(vec: np.ndarray) -> np.ndarray:
-    """Fix the global phase: first non-negligible component made real positive."""
-    idx = int(np.argmax(np.abs(vec) > 1e-8))
-    phase = vec[idx] / abs(vec[idx])
-    return vec * phase.conj()
+    """Fix the global phase of each (..., d) vector: its first component of modulus
+    at least 1e-3 of the largest (never a near-zero one, whose phase rounding
+    can turn) is made real and positive."""
+    mod = np.abs(vec)
+    idx = np.argmax(mod >= 1e-3 * mod.max(axis=-1, keepdims=True), axis=-1)
+    lead = np.take_along_axis(vec, idx[..., None], -1)
+    return vec * (lead / np.abs(lead)).conj()
 
 
 def separable_lower_bound(
@@ -665,9 +668,7 @@ def subset_bound_spectrum(
     g = element[mapped]
     moved = states[source[mapped]]
     moved = np.where(anti[g, None, None], moved.conj(), moved) @ np.swapaxes(unitaries[g], 1, 2)
-    # the phase rule of _canonical_vector, on every moved state at once
-    lead = np.take_along_axis(moved, np.argmax(np.abs(moved) > 1e-8, axis=-1)[..., None], -1)
-    moved = moved * (lead / np.abs(lead)).conj()
+    moved = _canonical_vector(moved)
     amps = _amps_sq(sic.vectors[rows[mapped]].conj()[:, None], moved)  # (M, 3, subset_size)
     lower = np.sum(amps[:, 0] * amps[:, 1], axis=-1)
     upper = np.sum(amps[:, 2] * amps[:, 2], axis=-1)

@@ -63,11 +63,7 @@ class DesignMismatchError(ValueError):
 
 
 def _family_matrices(family: str, d: int, params) -> np.ndarray:
-    """Unvalidated (n, d^2, d^2) stack of Werner or isotropic matrices, one per parameter.
-
-    The single-state constructors build their matrices here too, so a
-    stacked entry equals the state built alone, bit for bit.
-    """
+    """Unvalidated (n, d^2, d^2) stack of Werner or isotropic matrices, one per parameter."""
     x = np.asarray(params, dtype=float)[:, None, None]
     if family == "werner":
         p_sym, p_asym = symmetry_projectors(d)

@@ -107,11 +107,6 @@ def _row(
     )
 
 
-def _isotropic_crossing(u_minus: float, subset_size: int) -> float:
-    """Isotropic q at which the sum n(2q+1)/9 crosses the separable ceiling."""
-    return (9 * u_minus / subset_size - 1) / 2
-
-
 # -- embedded reference values ---------------------------------------------------
 
 # MUB lower bounds L(m, d); d = 4 carries the (min, max) pair over triples.
@@ -182,7 +177,7 @@ SIC_D4_PUBLISHED = {(5, "U"): 1.3766, (7, "L"): 0.0067, (8, "L"): 0.0279, (10, "
 # reference is the crossing of the corrected value.
 FIGURE_P_REFS = {6: 0.11, 7: 0.13, 8: 0.28, 9: 0.5}
 FIGURE_Q_REFS = {
-    3: 1.19, 4: _isotropic_crossing(SIC_D3_REFS[4][3], 4), 5: 0.76, 6: 0.61,
+    3: 1.19, 4: (9 * SIC_D3_REFS[4][3] / 4 - 1) / 2, 5: 0.76, 6: 0.61,
     7: 0.46, 8: 0.34, 9: 0.25,
 }
 FIGURE_Q_PUBLISHED = {4: 0.91}
@@ -351,8 +346,17 @@ class ScanResult:
     first_flip: tuple[float, str, str] | None  # (parameter, from, to)
 
 
-#: Parameters per stacked chunk of a family scan.
-SCAN_CHUNK = 64
+def _family_line(family: str, d: int, spec: CorrelationSpec) -> tuple[float, float]:
+    """The sum tr[W rho(x)] at x = 0 and x = 1, on validated end states.
+
+    The sum is linear in the state and the family affine in x, so it is
+    (1 - x) * at0 + x * at1 all along; every member between the two ends is
+    a convex combination of them, hence a state too.
+    """
+    ends = _family_matrices(family, d, [0.0, 1.0])
+    _check_densities(ends)
+    at0, at1 = np.einsum("ij,nij->n", spec.witness.conj(), ends).real.tolist()
+    return at0, at1
 
 
 def scan_family(
@@ -371,11 +375,9 @@ def scan_family(
     Each row is what ``detect(symmetric_state(...), spec, bounds, tol)``
     gives at that parameter (clipped into [0, 1] for the state), without a
     state object per point: the design match and ``tol`` are checked once
-    per scan, and the parameters go in chunks of ``SCAN_CHUNK``.  Each chunk
-    is one stack of the family's matrices, built in the single-state
-    constructors' operations, put through
-    :func:`~twodesign.core.validate_density`'s checks, and contracted with
-    the witness in one ``einsum``.
+    per scan, and each value is read off the family's line
+    (:func:`_family_line`), whose two end states are the only matrices
+    built and validated.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -385,15 +387,11 @@ def scan_family(
     _check_bounds_match(spec, bounds)
     if d != spec.dim:
         raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")
+    at0, at1 = _family_line(family, d, spec)
     count = int(round((stop - start) / step))
     params = [start + k * step for k in range(count + 1)]
     clipped = np.clip(np.array(params, dtype=float), 0.0, 1.0)
-    w_conj = spec.witness.conj()
-    values = np.empty(len(params))
-    for lo in range(0, len(params), SCAN_CHUNK):
-        stack = _family_matrices(family, d, clipped[lo:lo + SCAN_CHUNK])
-        _check_densities(stack)
-        values[lo:lo + SCAN_CHUNK] = np.einsum("ij,nij->n", w_conj, stack).real
+    values = (1 - clipped) * at0 + clipped * at1
     rows, flip = [], None
     for p, value in zip(params, values.tolist()):
         verdict = _classify(value, bounds, tol).value
@@ -410,30 +408,34 @@ def scan_family(
 def figure_critical_values(opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableReport:
     """Werner/isotropic crossing parameters for the d = 3 SIC subsets.
 
-    For subset size n the Werner correlation sum is p*n/6, so the lower
-    bound L+ is crossed at p = 6 L+/n; the isotropic sum (conjugated
-    convention) is n(2q+1)/9, crossing U- at q = (9 U-/n - 1)/2.  Crossings
-    above 1 certify that no state of the family violates that bound.  Rows
-    are labelled ``p<n>`` and ``q<n>`` and carry the bound crossed as
-    ``bound_used``.
+    For subset size n each crossing is read off the line (:func:`_family_line`)
+    of the leading n-subset: the Werner sum (plain convention) crosses L+ at
+    p = (L+ - at0) / (at1 - at0), the isotropic sum (conjugated) crosses U- at
+    q likewise.  Crossings above 1 certify that no state of the family violates
+    that bound.  Rows are labelled ``p<n>`` and ``q<n>`` and carry the bound
+    crossed as ``bound_used``.
 
     A value whose published number is refuted (``FIGURE_Q_PUBLISHED``) is
     checked like a corrected table cell: its ``certificate`` is the crossing
-    of the re-evaluated U- (see :func:`_hesse_certificates`).
+    of the re-evaluated U- (see :func:`_hesse_certificates`) on the same line.
     """
+    sic = sic_povm(3)
     rows = []
     for mt in sorted(set(FIGURE_P_REFS) | set(FIGURE_Q_REFS)):
-        spec = subset_bound_spectrum(sic_povm(3), mt, opts)
+        spec = subset_bound_spectrum(sic, mt, opts)
+        lead = sic.subset(range(mt))
         if mt in FIGURE_P_REFS:
-            rows.append(_row({"cell": f"p{mt}"}, 6 * spec.l_plus / mt, FIGURE_P_REFS[mt],
-                             FIGURE_TOL, bound_used=spec.l_plus))
+            at0, at1 = _family_line("werner", 3, CorrelationSpec(lead))
+            rows.append(_row({"cell": f"p{mt}"}, (spec.l_plus - at0) / (at1 - at0),
+                             FIGURE_P_REFS[mt], FIGURE_TOL, bound_used=spec.l_plus))
         if mt in FIGURE_Q_REFS:
+            at0, at1 = _family_line("isotropic", 3, CorrelationSpec(lead, conjugate_second=True))
             published = FIGURE_Q_PUBLISHED.get(mt)
             certificate = None
             if published is not None:
-                certificate = _isotropic_crossing(_hesse_certificates(spec)["U-"], mt)
+                certificate = (_hesse_certificates(spec)["U-"] - at0) / (at1 - at0)
             rows.append(_row(
-                {"cell": f"q{mt}"}, _isotropic_crossing(spec.u_minus, mt), FIGURE_Q_REFS[mt],
+                {"cell": f"q{mt}"}, (spec.u_minus - at0) / (at1 - at0), FIGURE_Q_REFS[mt],
                 FIGURE_TOL, published=published, certificate=certificate,
                 bound_used=spec.u_minus,
             ))

@@ -543,6 +543,34 @@ class TestSubsetGroupReuse:
                 assert 1 - abs(np.vdot(x, y)) <= 1e-12, got.subset_or_params
                 assert np.abs(bounds._canonical_vector(x) - x).max() <= 1e-15  # phase fixed
 
+    @pytest.mark.parametrize("labels", [(1, 2, 3, 5, 6, 8, 9), (2, 3, 4, 5, 6, 8, 9),
+                                        (2, 3, 5, 6, 7, 8, 9)])
+    def test_mapped_vectors_equal_the_loop_raw(self, labels):
+        # subsets whose moved states have a component near 1e-8: the phase
+        # rule must not pick it, or rounding turns the whole vector
+        sic = sic_povm(3)
+        spec = subset_bound_spectrum(sic, 7, OPTS)
+        perms, unitaries, anti = bounds._symmetry_group(sic.vectors)
+        combos = list(itertools.combinations(range(9), 7))
+        source, element = bounds._orbits(np.array(combos), perms)
+        k = combos.index(tuple(i - 1 for i in labels))
+        assert source[k] != k
+        got = spec.per_subset[k]
+        want = _mapped_reference(spec.per_subset[source[k]], sic, combos[k],
+                                 unitaries[element[k]], anti[element[k]])
+        for x, y in ((got.argmin.e, want.argmin.e), (got.argmin.f, want.argmin.f),
+                     (got.argmax, want.argmax)):
+            assert np.abs(x - y).max() <= 1e-14
+
+    def test_canonical_vector_on_a_stack(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+        stack[0, :, 0] = 4.8e-8 * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))  # below the floor
+        got = bounds._canonical_vector(stack)
+        for idx in np.ndindex(stack.shape[:-1]):
+            np.testing.assert_array_equal(got[idx], bounds._canonical_vector(stack[idx]))
+        assert np.all(got[0, :, 1].real > 0) and np.abs(got[0, :, 1].imag).max() <= 1e-15
+
 
 class TestPublishedTableDefects:
     """Cells where correct global optimization contradicts the printed values.

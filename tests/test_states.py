@@ -9,6 +9,7 @@ from twodesign import (
     DesignMismatchError,
     DimensionMismatchError,
     NotHermitianError,
+    NotPositiveError,
     OptimizerOptions,
     ParameterOutOfRangeError,
     SymmetricStateSpec,
@@ -32,8 +33,8 @@ from twodesign import (
     werner_state,
     witness_expectation,
 )
+from twodesign import tables
 from twodesign.core import random_bipartite_density, random_state_vector
-from twodesign.tables import SCAN_CHUNK
 
 OPTS = OptimizerOptions(seed=0)
 
@@ -265,19 +266,45 @@ class TestScanFamily:
             assert {row.verdict for row in scan.rows[:k]} == {flip[1]}
             assert scan.rows[k].verdict == flip[2]
 
-    def test_chunk_boundaries(self):
+    def test_every_row_of_a_fine_scan(self):
         design = sic_povm(3)
         record = closed_form_record(design, "sic")
         spec = CorrelationSpec(design, conjugate_second=True)
         scan = scan_family("isotropic", 3, spec, record, step=1e-4)
         n = len(scan.rows)
         assert n == 10001
-        edges = range(SCAN_CHUNK, n, SCAN_CHUNK)
-        indices = sorted({0, n - 1} | {j + o for j in edges for o in (-1, 0, 1) if j + o < n})
-        assert_rows_match_detect(scan, "isotropic", spec, record, indices)
+        assert_rows_match_detect(scan, "isotropic", spec, record, range(n))
         k = next(i for i, row in enumerate(scan.rows) if row.verdict != scan.rows[0].verdict)
         assert scan.first_flip == (scan.rows[k].parameter, scan.rows[0].verdict, scan.rows[k].verdict)
-        assert_rows_match_detect(scan, "isotropic", spec, record, (k - 1, k))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mub", "sic"])
+    def test_first_flip_at_the_first_crossing(self, d, kind):
+        # the closed-form sums give the line; its first crossing of [L, U]
+        # inside [0, 1] is where the verdict must first change, to one step
+        design = standard_mubs(d) if kind == "mub" else sic_povm(d)
+        record = closed_form_record(design, kind)
+        step = 1e-3
+        for family, conj in (("werner", False), ("isotropic", True)):
+            at0, at1 = (closed_form_correlation(SymmetricStateSpec(family, d, x), kind,
+                                                design.count).value for x in (0.0, 1.0))
+            crossings = [(b - at0) / (at1 - at0) for b in (record.lower, record.upper)]
+            first = min(c for c in crossings if 0 <= c <= 1)
+            scan = scan_family(family, d, CorrelationSpec(design, conjugate_second=conj), record,
+                               step=step)
+            assert abs(scan.first_flip[0] - first) <= step + 1e-12, (family, scan.first_flip)
+
+    def test_validates_the_end_states(self, monkeypatch):
+        # a family whose x = 1 end is not positive: the scan must refuse it
+        def stub(family, d, params):
+            bad = np.diag([2.0, -1.0] + [0.0] * (d * d - 2))
+            x = np.asarray(params, dtype=float)[:, None, None]
+            return x * bad + (1 - x) * np.eye(d * d) / (d * d)
+
+        monkeypatch.setattr(tables, "_family_matrices", stub)
+        design = standard_mubs(3)
+        with pytest.raises(NotPositiveError):
+            scan_family("werner", 3, CorrelationSpec(design), closed_form_record(design, "mub"))
 
     def test_rejects_mismatched_design_and_dimension(self, full_mub3_record):
         with pytest.raises(DesignMismatchError):
