@@ -6,10 +6,10 @@ a single vector for SICs), so every consumer reads ``design.vectors`` and
 ``design.count`` alike.  ``Design.subset`` picks groups and records their
 indices.
 
-Explicit constructions are provided for d = 2, 3, 4.  Vectors are stored
-with their conventional global phases untouched; every quantity computed
-downstream (overlaps squared, projectors, bounds) is phase-invariant, so
-the stored phases only matter for reproducible output.
+MUB sets follow the prime phase rule for d = 2, 3, 5, 7; d = 4 is the
+three-parameter family plus two stored bases.  SIC sets are Heisenberg-Weyl
+orbits for d = 3, 4 and a stored list for d = 2.  Every downstream quantity is
+phase-invariant, so the stored phases only matter for reproducible output.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import UnsupportedDimensionError, symmetry_projectors
-
-OMEGA3 = np.exp(2j * np.pi / 3)
 
 
 def _unit_rows(vectors) -> np.ndarray:
@@ -125,24 +123,19 @@ class VerificationReport:
 
 # -- MUB constructions ---------------------------------------------------------
 
-def _mubs_d2() -> list[np.ndarray]:
-    s = 1 / np.sqrt(2)
-    b1 = np.eye(2, dtype=complex)
-    b2 = s * np.array([[1, 1], [1, -1]], dtype=complex)
-    # Third basis: eigenbasis of the y-type operator.  Any completion of the
-    # pair is equivalent, so this standard choice is canonical here.
-    b3 = s * np.array([[1, 1], [1j, -1j]], dtype=complex)
-    return [b1, b2, b3]
+def _prime_mubs(p: int) -> np.ndarray:
+    """Row vectors of the p + 1 MUBs of a prime p (Ivanovic; Wootters & Fields).
 
-
-def _mubs_d3() -> list[np.ndarray]:
-    w = OMEGA3
-    s = 1 / np.sqrt(3)
-    b1 = np.eye(3, dtype=complex)
-    b2 = s * np.array([[1, 1, 1], [1, w, w ** 2], [1, w ** 2, w]])
-    b3 = s * np.array([[1, 1, 1], [w, w ** 2, 1], [w, 1, w ** 2]])
-    b4 = s * np.array([[1, 1, 1], [w ** 2, 1, w], [w ** 2, w, 1]])
-    return [b1, b2, b3, b4]
+    The standard basis, then |b_k^j> = p^(-1/2) sum_n z^(k n^2 + c j n) |n>
+    for k, j < p, with z = i and c = 2 at p = 2 and z = exp(2 pi i / p) and
+    c = 1 at odd p.  Each power of z is read from an exact table, so the
+    d = 2 and d = 3 sets are the conventional printed matrices bit for bit.
+    """
+    z, c, order = (1j, 2, 4) if p == 2 else (np.exp(2j * np.pi / p), 1, p)
+    powers = np.array([z ** t for t in range(order)])
+    k, j, n = np.ogrid[:p, :p, :p]
+    rows = (1 / np.sqrt(p)) * powers[(k * n * n + c * j * n) % order].reshape(p * p, p)
+    return np.concatenate([np.eye(p, dtype=complex), rows])
 
 
 def _d4_b2(x) -> np.ndarray:
@@ -196,21 +189,19 @@ def mub_triple_family_d4(x: float, y: float, z: float) -> Design:
 
 
 def standard_mubs(d: int) -> Design:
-    """The complete set of d+1 MUBs for d in {2, 3, 4}.
+    """The complete set of d+1 MUBs for d in {2, 3, 4, 5, 7}.
 
-    For d = 4 the first three bases are the extendible triple at
+    Prime d follows the phase rule of :func:`_prime_mubs`: the standard
+    basis first, then basis k + 1 holds |b_k^0>, ..., |b_k^(d-1)>.  For
+    d = 4 the first three bases are the extendible triple at
     (pi/2, pi/2, pi/2); subset selection by index refers to this order.
     """
-    if d == 2:
-        cols = _mubs_d2()
-    elif d == 3:
-        cols = _mubs_d3()
-    elif d == 4:
+    if d in (2, 3, 5, 7):
+        return Design("mub", d, _prime_mubs(d), provenance="standard")
+    if d == 4:
         triple = _d4_triple(np.pi / 2, np.pi / 2, np.pi / 2)
         return Design("mub", 4, np.concatenate([triple, _D4_B4.T, _D4_B5.T]), provenance="standard")
-    else:
-        raise UnsupportedDimensionError(f"no standard MUB set for d={d}")
-    return Design("mub", d, np.concatenate([c.T for c in cols]), provenance="standard")
+    raise UnsupportedDimensionError(f"no standard MUB set for d={d}")
 
 
 def verify_mub(mubs: Design, tol: float = 1e-10) -> VerificationReport:
@@ -294,34 +285,24 @@ def _sic_d2() -> np.ndarray:
     )
 
 
-def _sic_d3() -> np.ndarray:
-    w = OMEGA3
-    rows = [
-        [0, 1, -1],
-        [-1, 0, 1],
-        [1, -1, 0],
-        [0, w, -w ** 2],
-        [-w, 0, 1],
-        [w ** 2, -1, 0],
-        [0, w ** 2, -w],
-        [-w ** 2, 0, 1],
-        [w, -1, 0],
-    ]
-    return np.array(rows, dtype=complex) / np.sqrt(2)
-
-
 def sic_povm(d: int) -> Design:
     """The full d^2-element SIC set for d in {2, 3, 4}.
 
-    d = 2 and d = 3 use the conventional explicit vector lists (the d = 3 set
-    is the Hesse configuration in its usual s_1..s_9 order); d = 4 is the
-    Heisenberg-Weyl orbit of the golden-ratio fiducial with (a, b) labels in
-    lexicographic order.
+    d = 2 is the conventional explicit tetrahedron, which is not an orbit of
+    ``sic_fiducial(2)``.  d = 3 is the Heisenberg-Weyl orbit of
+    ``sic_fiducial(3)`` in the Hesse order s_1..s_9 with stored phases, and
+    keeps the unlabelled ``"explicit"`` form of that list.  d = 4 is the
+    orbit of the golden-ratio fiducial with (a, b) labels in lexicographic
+    order.
     """
     if d == 2:
         return Design("sic", 2, _sic_d2(), provenance="explicit")
     if d == 3:
-        return Design("sic", 3, _sic_d3(), provenance="explicit")
+        # orbit labels (a, b) = (0, 0), (1, 0), (2, 0), (0, 1), ..., each
+        # vector times a power of exp(i pi/3) that keeps its printed phase
+        phases = np.exp(1j * np.pi / 3 * np.array([0, 0, 0, 0, -1, -2, 0, -2, 2]))
+        vectors = hw_sic(3).vectors[[0, 3, 6, 1, 4, 7, 2, 5, 8]] * phases[:, None]
+        return Design("sic", 3, vectors, provenance="explicit")
     if d == 4:
         return hw_sic(4)
     raise UnsupportedDimensionError(f"no SIC set stored for d={d}")

@@ -330,6 +330,9 @@ def reproduce_table(table_id: str, opts: OptimizerOptions = DEFAULT_OPTIONS) -> 
 # -- detection-threshold scans -----------------------------------------------------
 
 
+MAX_SCAN_ROWS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class ScanRow:
     parameter: float
@@ -377,18 +380,25 @@ def scan_family(
     state object per point: the design match and ``tol`` are checked once
     per scan, and each value is read off the family's line
     (:func:`_family_line`), whose two end states are the only matrices
-    built and validated.
+    built and validated.  ``start``, ``stop`` and ``step`` must be finite and
+    span at most ``MAX_SCAN_ROWS`` rows.
     """
+    for name, val in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val}")
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError(f"stop {stop} is below start {start}")
+    span = (stop - start) / step  # the scan has round(span) + 1 rows; inf on overflow
+    if not span < MAX_SCAN_ROWS - 0.5:
+        raise ValueError(f"start, stop and step need {span + 1:.4g} rows, over {MAX_SCAN_ROWS}")
     _check_tol(tol)
     _check_bounds_match(spec, bounds)
     if d != spec.dim:
         raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")
     at0, at1 = _family_line(family, d, spec)
-    count = int(round((stop - start) / step))
+    count = int(round(span))
     params = [start + k * step for k in range(count + 1)]
     clipped = np.clip(np.array(params, dtype=float), 0.0, 1.0)
     values = (1 - clipped) * at0 + clipped * at1

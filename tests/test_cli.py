@@ -121,7 +121,7 @@ class TestDesignsCommand:
         assert payload["message"].startswith("Out of range float values")
 
     def test_unsupported_dimension_is_error(self, capsys):
-        code, _, err = run_cli(capsys, "designs", "show", "--design", "mub", "--d", "7")
+        code, _, err = run_cli(capsys, "designs", "show", "--design", "mub", "--d", "6")
         assert code == 1
         assert "UnsupportedDimension" in json.loads(err)["error"]
 
@@ -506,6 +506,18 @@ class TestDetectCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "Inconclusive"
 
+    @pytest.mark.parametrize("arg, flag", [("step", "--step=nan"), ("start", "--start=-inf"),
+                                           ("stop", "--stop=inf")])
+    def test_non_finite_range_is_error(self, capsys, arg, flag):
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "werner", "--design", "mub", "--d", "2",
+            "--bounds", "closed-form", flag,
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{arg} must be finite")
+
     @pytest.mark.parametrize("tol", ["-5", "nan"])
     def test_negative_or_nan_tol_is_error(self, capsys, tol):
         # with --tol -5 the floor value 1.0 used to read EntangledByLower
@@ -575,6 +587,18 @@ class TestScanCommand:
         )
         assert code == 1 and out == ""
         assert "below start" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("arg, flag", [("step", "--step=nan"), ("start", "--start=-inf"),
+                                           ("stop", "--stop=inf")])
+    def test_non_finite_range_is_error(self, capsys, arg, flag):
+        code, out, err = run_cli(
+            capsys, "scan", "--family", "werner", "--design", "mub", "--d", "2",
+            "--bounds", "closed-form", flag,
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{arg} must be finite")
 
     @pytest.mark.parametrize("tol", ["-5", "nan"])
     def test_negative_or_nan_tol_is_error(self, capsys, tol):

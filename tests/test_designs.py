@@ -22,6 +22,65 @@ from twodesign import (
 OMEGA = np.exp(2j * np.pi / 3)
 
 
+# The hand-typed lists the phase rule and the d = 3 orbit replaced, kept as
+# reference data: the bases' columns are their vectors.
+def _listed_mubs_d2():
+    s = 1 / np.sqrt(2)
+    b1 = np.eye(2, dtype=complex)
+    b2 = s * np.array([[1, 1], [1, -1]], dtype=complex)
+    b3 = s * np.array([[1, 1], [1j, -1j]], dtype=complex)
+    return np.concatenate([b.T for b in (b1, b2, b3)])
+
+
+def _listed_mubs_d3():
+    w = OMEGA
+    s = 1 / np.sqrt(3)
+    b1 = np.eye(3, dtype=complex)
+    b2 = s * np.array([[1, 1, 1], [1, w, w ** 2], [1, w ** 2, w]])
+    b3 = s * np.array([[1, 1, 1], [w, w ** 2, 1], [w, 1, w ** 2]])
+    b4 = s * np.array([[1, 1, 1], [w ** 2, 1, w], [w ** 2, w, 1]])
+    return np.concatenate([b.T for b in (b1, b2, b3, b4)])
+
+
+def _listed_sic_d3():
+    w = OMEGA
+    rows = [
+        [0, 1, -1],
+        [-1, 0, 1],
+        [1, -1, 0],
+        [0, w, -w ** 2],
+        [-w, 0, 1],
+        [w ** 2, -1, 0],
+        [0, w ** 2, -w],
+        [-w ** 2, 0, 1],
+        [w, -1, 0],
+    ]
+    return np.array(rows, dtype=complex) / np.sqrt(2)
+
+
+class TestDesignsFromRules:
+    def test_prime_rule_reproduces_the_d2_and_d3_lists_bit_for_bit(self):
+        assert np.array_equal(standard_mubs(2).vectors, _listed_mubs_d2())
+        assert np.array_equal(standard_mubs(3).vectors, _listed_mubs_d3())
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_prime_rule_beyond_the_lists(self, p):
+        mubs = standard_mubs(p)
+        assert mubs.count == p + 1 and mubs.provenance == "standard"
+        assert verify_mub(mubs, tol=1e-12).passed
+        assert verify_2design(mubs.vectors) < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 8, 9])  # d = 6 in TestStandardMubs
+    def test_no_rule_for_other_dimensions(self, d):
+        with pytest.raises(UnsupportedDimensionError):
+            standard_mubs(d)
+
+    def test_d3_sic_orbit_matches_the_list(self):
+        sic = sic_povm(3)
+        assert np.abs(sic.vectors - _listed_sic_d3()).max() <= 1e-15
+        assert sic.labels is None and sic.provenance == "explicit"
+
+
 class TestStandardMubs:
     def test_d2_overlaps(self):
         mubs = standard_mubs(2)
@@ -50,7 +109,7 @@ class TestStandardMubs:
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
-            standard_mubs(5)
+            standard_mubs(6)
 
 
 class TestTripleFamily:

@@ -306,6 +306,31 @@ class TestScanFamily:
         with pytest.raises(NotPositiveError):
             scan_family("werner", 3, CorrelationSpec(design), closed_form_record(design, "mub"))
 
+    @staticmethod
+    def _no_scan(family, d, spec):
+        raise AssertionError("the range check let the scan start")
+
+    @pytest.mark.parametrize("arg", ["start", "stop", "step"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_range(self, monkeypatch, full_mub3_record, arg, bad):
+        monkeypatch.setattr(tables, "_family_line", self._no_scan)
+        with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+            scan_family("werner", 3, CorrelationSpec(standard_mubs(3)), full_mub3_record,
+                        **{arg: bad})
+
+    def test_row_cap_is_checked_before_the_scan(self, monkeypatch, full_mub3_record):
+        monkeypatch.setattr(tables, "_family_line", self._no_scan)
+        spec = CorrelationSpec(standard_mubs(3))
+        cap = tables.MAX_SCAN_ROWS
+        too_long = ({"stop": cap, "step": 1.0}, {"step": 1e-300},
+                    {"start": -1e308, "stop": 1e308})
+        for kwargs in too_long:
+            with pytest.raises(ValueError, match=f"rows, over {cap}"):
+                scan_family("werner", 3, spec, full_mub3_record, **kwargs)
+        # exactly ``cap`` rows passes the check and reaches the end states
+        with pytest.raises(AssertionError, match="let the scan start"):
+            scan_family("werner", 3, spec, full_mub3_record, stop=cap - 1, step=1.0)
+
     def test_rejects_mismatched_design_and_dimension(self, full_mub3_record):
         with pytest.raises(DesignMismatchError):
             scan_family("werner", 3, CorrelationSpec(sic_povm(3)), full_mub3_record)
