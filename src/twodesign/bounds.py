@@ -9,16 +9,16 @@ objective is a Hermitian quadratic form in e, so each half-step is solved
 exactly by an extremal eigenvector; alternating these exact updates is
 monotone and converges fast.
 
-One kernel, :func:`_two_vector_iterate`, runs the alternating updates on a
-batch of seeded restarts with stacked eigendecompositions, for both
-bounds.  Each restart retires at the first sweep whose improvement falls
-below ``TOL`` and keeps its state and objective; later
-sweeps compute only the restarts still active, so each ends bit for bit
-as it would alone.  The batch stops ``stationary`` when none is active, or
-``max_sweeps`` when one still improves after ``OptimizerOptions.max_sweeps``.
-A restart whose gain has stopped shrinking also takes Newton steps
-(:func:`_newton_step`), at both ends.  Each bound is one kernel call and
-reports its best restart as the kernel left it.
+One kernel, :func:`_two_vector_iterate`, runs the alternating updates with
+stacked eigendecompositions on one flat batch of seeded restarts, one design
+per restart.  Every sweep writes the state and objective of each active
+restart; a restart retires at the first sweep whose gain falls below ``TOL``,
+and later sweeps compute only the others, so each ends bit for bit as it would
+alone.  The batch stops ``stationary`` when none is active, or ``max_sweeps``
+when one still improves after ``OptimizerOptions.max_sweeps``.  A restart
+whose gain has stopped shrinking also takes Newton steps
+(:func:`_newton_step`), at both ends.  Both bounds make one kernel call
+through one multistart driver and report its best restart.
 
 The upper bound equals the maximum of ``F(e) = sum_v |<v|e>|^4``
 (arithmetic-geometric mean argument).  The kernel, maximizing and started
@@ -209,8 +209,11 @@ def _weighted_frame(w: np.ndarray, v: np.ndarray, v_conj: np.ndarray) -> np.ndar
 
 
 def _eig_extreme(m: np.ndarray, maximize: bool):
+    # eigenpairs ordered from the extreme one: descending when maximizing
     vals, vecs = np.linalg.eigh(m)
-    return (vecs[..., :, -1] if maximize else vecs[..., :, 0]), vals, vecs
+    if maximize:
+        vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    return vecs[..., :, 0], vals, vecs
 
 
 #: Newton steps start at this sweep, where a gain exceeds this ratio of the last, this many at once.
@@ -259,10 +262,11 @@ def _newton_step(v1c, frame_e, frame_f, vals_f, w_f, obj):
 def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, threshold=None):
     """Alternating exact eigenvector updates on batched starts.
 
-    ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``.
-    Each restart retires at the first sweep whose improvement is below
-    ``tol`` and keeps its e, f and objective; later sweeps compute only the
-    active restarts, so every restart ends exactly as it would run alone.
+    ``v1`` is the design stack, broadcastable against the batch ``e.shape[:-1]``,
+    which is flattened on entry with one design per item.  Each sweep writes
+    the e, f, objective and sweeps used of every active restart; a restart
+    retires at the first sweep whose improvement is below ``tol``, and later
+    sweeps compute only the others, so each ends exactly as it would alone.
     With ``certify`` (a :class:`_Level2Certificate`, when maximizing), each
     sweep whose best active restart lies within ``CERTIFY_WINDOW`` of
     ``certify.value`` tries a certificate step from its f; one that succeeds
@@ -277,19 +281,15 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
     """
     batch, d = e.shape[:-1], e.shape[-1]
     count = math.prod(batch)
-    e_out, f_out = np.empty((count, d), dtype=complex), np.empty((count, d), dtype=complex)
-    obj_out = np.full(count, np.inf if minimize else -np.inf)
-    stationary = np.zeros(count, dtype=bool)
-    used = np.full(count, max_sweeps)
-    # one design for the whole batch is never gathered; per-item designs are
-    # gathered only when the active set shrinks
-    shared = math.prod(v1.shape[:-2]) == 1
-    if shared:
-        v1 = v1.reshape(v1.shape[-2:])
+    v1 = np.broadcast_to(v1, batch + v1.shape[-2:]).reshape((count,) + v1.shape[-2:])
     v1c = v1.conj()
-    live = np.arange(count).reshape(batch)  # flat indices of the active items
+    e, f = e.reshape(count, d), f.reshape(count, d)
+    e_out, f_out = np.empty((count, d), dtype=complex), np.empty((count, d), dtype=complex)
+    obj_out, used = np.empty(count), np.empty(count, dtype=int)
+    stationary = np.zeros(count, dtype=bool)
+    live = np.arange(count)  # flat indices of the active items
     sign = 1.0 if minimize else -1.0
-    prev = np.full(batch, np.inf if minimize else -np.inf)
+    prev = np.full(count, np.inf if minimize else -np.inf)
     w_f = _amps_sq(v1c, f)
     for sweep in range(max_sweeps):
         e, _, frame_e = _eig_extreme(_weighted_frame(w_f, v1, v1c), maximize=not minimize)
@@ -298,22 +298,18 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
         w_f = _amps_sq(v1c, f)
         obj = np.sum(w_e * w_f, axis=-1)
         if sweep >= _NEWTON_AFTER:
-            slow = np.nonzero(sign * (prev - obj) > _NEWTON_RATIO * gain)
-            if not minimize:  # the extreme column first
-                frame_e, frame_f, vals_f = frame_e[..., ::-1], frame_f[..., ::-1], vals_f[..., ::-1]
-            for lo in range(0, slow[0].size, _NEWTON_CHUNK):
-                at = tuple(i[lo : lo + _NEWTON_CHUNK] for i in slow)
-                vc = v1c if shared else np.broadcast_to(v1c, obj.shape + v1c.shape[-2:])[at]
-                new = _newton_step(vc, frame_e[at], frame_f[at], vals_f[at], w_f[at], obj[at])
+            slow = np.flatnonzero(sign * (prev - obj) > _NEWTON_RATIO * gain)
+            for lo in range(0, slow.size, _NEWTON_CHUNK):
+                at = slow[lo : lo + _NEWTON_CHUNK]
+                new = _newton_step(v1c[at], frame_e[at], frame_f[at], vals_f[at], w_f[at], obj[at])
                 better = sign * new[3] < sign * obj[at]  # keep only steps that improve
-                at = tuple(i[better] for i in at)
+                at = at[better]
                 e[at], f[at], w_f[at], obj[at] = (x[better] for x in new)
         gain = sign * (prev - obj)
-        obj_out[live] = obj
+        e_out[live], f_out[live], obj_out[live], used[live] = e, f, obj, sweep + 1
         if certify is not None:
             best = int(np.argmax(obj))
             if obj[best] >= certify.value - CERTIFY_WINDOW and certify.step(f[best]):
-                e_out[live], f_out[live], used[live] = e, f, sweep + 1
                 break
         done = settled = gain < tol
         if threshold is not None:
@@ -321,20 +317,13 @@ def _two_vector_iterate(v1, e, f, *, minimize, tol, max_sweeps, certify=None, th
             cut = np.isin(rows, rows[obj <= threshold[rows]])
             done, settled = settled | cut, settled & ~cut
         if done.any():
-            retired = live[done]
-            e_out[retired], f_out[retired] = e[done], f[done]
             stationary[live[settled]] = True
-            used[retired] = sweep + 1
-            keep = ~done
-            if not shared:
-                v1 = np.broadcast_to(v1, done.shape + v1.shape[-2:])[keep]
-                v1c = np.broadcast_to(v1c, done.shape + v1c.shape[-2:])[keep]
-            live, e, f, w_f, obj, gain = (x[keep] for x in (live, e, f, w_f, obj, gain))
+            live, v1, v1c, e, f, w_f, obj, gain = (
+                x[~done] for x in (live, v1, v1c, e, f, w_f, obj, gain)
+            )
             if live.size == 0:
                 break
         prev = obj
-    else:
-        e_out[live], f_out[live] = e, f
     return (
         e_out.reshape(batch + (d,)), f_out.reshape(batch + (d,)),
         obj_out.reshape(batch), stationary.reshape(batch), used.reshape(batch),
@@ -395,10 +384,10 @@ class _Level2Certificate:
         return best_gap <= CERTIFY_TOL
 
 
-def _product_value(v: np.ndarray, e: np.ndarray, f: np.ndarray) -> float:
-    """``sum_v |<v|e>|^2 |<v|f>|^2`` for the design vectors ``v`` at one product state."""
+def _product_value(v: np.ndarray, e: np.ndarray, f: np.ndarray):
+    """``sum_v |<v|e>|^2 |<v|f>|^2`` for designs (..., n, d) at states (..., d), as floats."""
     vc = v.conj()
-    return float(np.sum(_amps_sq(vc, e) * _amps_sq(vc, f)))
+    return np.sum(_amps_sq(vc, e) * _amps_sq(vc, f), axis=-1).tolist()
 
 
 def _canonical_vector(vec: np.ndarray) -> np.ndarray:
@@ -409,6 +398,22 @@ def _canonical_vector(vec: np.ndarray) -> np.ndarray:
     idx = np.argmax(mod >= 1e-3 * mod.max(axis=-1, keepdims=True), axis=-1)
     lead = np.take_along_axis(vec, idx[..., None], -1)
     return vec * (lead / np.abs(lead)).conj()
+
+
+def _multistart(v: np.ndarray, opts: OptimizerOptions, *, minimize: bool, certify=None):
+    """One kernel call on the design vectors ``v`` from ``opts``' seeded starts,
+    random e and f when minimizing, f = e when maximizing.  Returns the best
+    restart's phase-canonical (e, f), stop reason, restarts and sweeps used."""
+    restarts = opts.restarts_for(v.shape[1])
+    rng = np.random.default_rng(opts.seed)
+    e0 = _random_unit(rng, (restarts, v.shape[1]))
+    f0 = _random_unit(rng, (restarts, v.shape[1])) if minimize else e0
+    e, f, obj, stationary, used = _two_vector_iterate(
+        v, e0, f0, minimize=minimize, tol=TOL, max_sweeps=opts.max_sweeps, certify=certify
+    )
+    best = int(np.argmin(obj) if minimize else np.argmax(obj))
+    stop_reason = "stationary" if stationary.all() else "max_sweeps"
+    return _canonical_vector(np.stack([e[best], f[best]])), stop_reason, restarts, int(used.max())
 
 
 def separable_lower_bound(
@@ -424,22 +429,13 @@ def separable_lower_bound(
     reported, never raised.
     """
     v = design.vectors
-    d = design.dim
-    restarts = opts.restarts_for(d)
-    rng = np.random.default_rng(opts.seed)
-    e0 = _random_unit(rng, (restarts, d))
-    f0 = _random_unit(rng, (restarts, d))
-    e, f, obj, stationary, used = _two_vector_iterate(
-        v[None], e0, f0, minimize=True, tol=TOL, max_sweeps=opts.max_sweeps
-    )
-    best = int(np.argmin(obj))
-    e_b, f_b = _canonical_vector(e[best]), _canonical_vector(f[best])
+    (e_b, f_b), stop_reason, restarts, sweeps = _multistart(v, opts, minimize=True)
     return LowerBoundResult(
         value=_product_value(v, e_b, f_b),
         minimizer=ProductState(e_b, f_b),
-        stop_reason="stationary" if stationary.all() else "max_sweeps",
+        stop_reason=stop_reason,
         restarts=restarts,
-        sweeps=int(used.max()),
+        sweeps=sweeps,
     )
 
 
@@ -456,24 +452,16 @@ def separable_upper_bound(
     """
     v = design.vectors
     cert = _Level2Certificate(v)
-    restarts = opts.restarts_for(design.dim)
-    rng = np.random.default_rng(opts.seed)
-    e0 = _random_unit(rng, (restarts, design.dim))
-    _, f, obj, stationary, used = _two_vector_iterate(
-        v[None], e0, e0, minimize=False, tol=TOL, max_sweeps=opts.max_sweeps, certify=cert
-    )
+    (_, e_b), stop_reason, restarts, sweeps = _multistart(v, opts, minimize=False, certify=cert)
     if cert.maximizer is not None:
         stop_reason, e_b = "certified", cert.maximizer
-    else:
-        stop_reason = "stationary" if stationary.all() else "max_sweeps"
-        e_b = _canonical_vector(f[int(np.argmax(obj))])
     return UpperBoundResult(
         value=_product_value(v, e_b, e_b),
         maximizer=e_b,
         certificate=cert.value,
         stop_reason=stop_reason,
         restarts=restarts,
-        sweeps=int(used.max()),
+        sweeps=sweeps,
     )
 
 
@@ -669,12 +657,12 @@ def subset_bound_spectrum(
     moved = states[source[mapped]]
     moved = np.where(anti[g, None, None], moved.conj(), moved) @ np.swapaxes(unitaries[g], 1, 2)
     moved = _canonical_vector(moved)
-    amps = _amps_sq(sic.vectors[rows[mapped]].conj()[:, None], moved)  # (M, 3, subset_size)
-    lower = np.sum(amps[:, 0] * amps[:, 1], axis=-1)
-    upper = np.sum(amps[:, 2] * amps[:, 2], axis=-1)
+    vecs = sic.vectors[rows[mapped]]
+    lower = _product_value(vecs, moved[:, 0], moved[:, 1])
+    upper = _product_value(vecs, moved[:, 2], moved[:, 2])
     for k, lo, up, (e, f, top) in zip(mapped, lower, upper, moved):
         records[k] = replace(
-            records[source[k]], subset_or_params=f"({tags[k]})", lower=float(lo), upper=float(up),
+            records[source[k]], subset_or_params=f"({tags[k]})", lower=lo, upper=up,
             argmin=ProductState(e, f), argmax=top, provenance=f"{sic.provenance}[{tags[k]}]",
             indices=combos[k],
         )

@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from enum import Enum
 
@@ -424,6 +425,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # a reader that stops early, as `head` does, is not an error
+        # the interpreter's last flush of stdout would raise again: send it to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:  # surface errors as structured JSON on stderr
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -246,6 +246,21 @@ class TestLowerStopReasons:
             res = separable_lower_bound(design, OptimizerOptions(seed=0, restarts=8))
             assert res.sweeps == longest
 
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_stacked_copies_match_one_design(self, minimize):
+        # K copies of one design, (K, 1, n, d) against (K, R, d) starts: each
+        # row ends bit for bit as the one design from the same starts
+        v = _d4_triple(1.0, 2.0, 0.5)
+        rng = np.random.default_rng(0)
+        e0 = _random_unit(rng, (3, 8, 4))
+        f0 = _random_unit(rng, (3, 8, 4)) if minimize else e0
+        kw = dict(minimize=minimize, tol=1e-12, max_sweeps=2000)
+        stacked = _two_vector_iterate(np.stack([v] * 3)[:, None], e0, f0, **kw)
+        for k in range(3):
+            alone = _two_vector_iterate(v[None], e0[k], f0[k], **kw)
+            for got, want in zip(stacked, alone):  # e, f, objective, stationary, used
+                np.testing.assert_array_equal(got[k], want)
+
     def test_max_sweeps_is_not_converged(self):
         res = separable_lower_bound(
             sic_povm(3).subset([0, 1, 2, 3]), OptimizerOptions(seed=0, max_sweeps=3)

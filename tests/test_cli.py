@@ -1,5 +1,6 @@
 """Command-line surface: output schemas, round-trips, exit codes."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -640,3 +641,67 @@ class TestTablesCommand:
     def test_unknown_table_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["tables", "--id", "VII"])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("argv, message", [
+        (["designs", "show", "--design", "mub", "--d", "3", "--x", "0.5"],
+         "the (x, y, z) triple family exists only for d=4"),
+        (["detect", "--state", "werner", "--param", "0.2", "--design", "mub", "--d", "2",
+          "--bounds", "cached"], "--bounds cached requires --bounds-file"),
+        (["bounds", "--design", "sic", "--d", "2", "--all-subsets"],
+         "--all-subsets requires --m"),
+        (["bounds", "--design", "mub", "--d", "2", "--m", "2", "--all-subsets"],
+         "--all-subsets enumerates SIC subsets; use --design sic"),
+    ], ids=["--x with d=3", "cached without file", "all-subsets without m",
+            "all-subsets mub"])
+    def test_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    def test_state_file_of_another_dimension(self, capsys, tmp_path):
+        path = tmp_path / "d2.json"
+        save_density(path, validate_density(np.eye(4) / 4, 2))
+        code, out, err = run_cli(
+            capsys, "detect", "--state-file", str(path), "--design", "mub", "--d", "3",
+            "--bounds", "closed-form",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == "state file has d=2, requested d=3"
+
+    def test_bad_subset_spec_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--design", "sic", "--d", "2", "--subset", "1,x"])
+        assert exc.value.code == 2
+        assert "bad subset spec '1,x'" in capsys.readouterr().err
+
+    def test_family_scan_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--design", "mub", "--d", "4", "--family-scan",
+            "--grid-steps", "9", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["x", "y", "z", "lower"]
+        assert len(rows) == 1 + 9**3
+        values = np.array(rows[1:], dtype=float)
+        assert (values[0, :3] == 0).all() and np.allclose(values[-1, :3], np.pi, atol=1e-5)
+        assert values[:, 3].min() >= 0.25 - 1e-6
+
+
+def test_closed_pipe_is_not_an_error():
+    # a reader that stops early, like ``| head -c 20``, closes the pipe while
+    # the scan is still writing
+    argv = ["scan", "--family", "werner", "--design", "mub", "--d", "3",
+            "--bounds", "closed-form", "--step", "1e-4"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twodesign.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err == b""

@@ -1,6 +1,7 @@
 """Core linear algebra: Kronecker products, partial transpose, projectors."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from twodesign import (
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
+    UnsupportedDimensionError,
     kron,
     load_density,
     max_entangled_state,
@@ -333,3 +335,23 @@ class TestSerialization:
         assert len(obj["matrix"]) == 4 and len(obj["matrix"][0]) == 4
         assert json.loads(json.dumps(obj)) == obj
         np.testing.assert_allclose(density_from_json_obj(obj).matrix, rho.matrix, atol=0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: kron(np.ones(2), np.ones(2)), ValueError, "kron expects 2-D operands"),
+    (lambda: symmetry_projectors(9), UnsupportedDimensionError, "2 <= d <= 8, got 9"),
+    (lambda: max_entangled_state(1), UnsupportedDimensionError, "need d >= 2"),
+    (lambda: partial_transpose(np.eye(4)), ValueError, "local_dim required for a bare array"),
+    (lambda: partial_transpose(np.eye(4), local_dim=3), DimensionMismatchError,
+     "expected shape (9, 9), got (4, 4)"),
+    (lambda: partial_transpose(np.eye(4) / 4, "C", local_dim=2), ValueError,
+     "subsystem must be 'A' or 'B'"),
+    (lambda: validate_density(np.eye(4) / 4, 3), DimensionMismatchError,
+     "expected shape (9, 9), got (4, 4)"),
+    (lambda: density_from_json_obj({"local_dim": 2}), ValueError,
+     "malformed density-matrix object"),
+], ids=["kron 1-D", "projectors d=9", "max entangled d=1", "bare array", "wrong shape",
+        "subsystem C", "density shape", "malformed object"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -203,3 +203,8 @@ class TestPurityIdentities:
             purity = np.trace(rho @ rho).real
             total = sum(np.real(v.conj() @ rho @ v) ** 2 for v in vectors)
             assert abs(total - d * d * (1 + purity) / (d * (d + 1))) < 1e-10
+
+
+def test_correlation_sum_rejects_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="state has local dimension 2, design has 3"):
+        correlation_sum(werner_state(2, 0.5), CorrelationSpec(standard_mubs(3)))

@@ -1,6 +1,7 @@
 """Design constructions and their verifiers."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -329,3 +330,14 @@ class TestSubset:
             standard_mubs(3).subset(indices)
         with pytest.raises(ValueError):
             sic_povm(2).subset(indices)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Design("sic", 2, np.zeros((0, 2))), ValueError, "expected a non-empty stack of vectors"),
+    (lambda: hw_displacement(3, 3, 0), ValueError, "need 0 <= a, b < 3"),
+    (lambda: hw_displacement(3, 0, -1), ValueError, "need 0 <= a, b < 3"),
+    (lambda: sic_fiducial(5), UnsupportedDimensionError, "no fiducial stored for d=5"),
+], ids=["empty stack", "a out of range", "b out of range", "fiducial d=5"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,5 +1,7 @@
 """Symmetric state families, the positive-approximation witness, detection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -338,3 +340,31 @@ class TestScanFamily:
             scan_family("werner", 2, CorrelationSpec(standard_mubs(3)), full_mub3_record)
         with pytest.raises(ValueError):
             scan_family("bell", 3, CorrelationSpec(standard_mubs(3)), full_mub3_record)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SymmetricStateSpec("bell", 2, 0.5), ValueError,
+     "family must be 'werner' or 'isotropic'"),
+    (lambda: closed_form_correlation(SymmetricStateSpec("werner", 2, 0.5), "povm", 4),
+     ValueError, "design_kind must be 'mub' or 'sic'"),
+    (lambda: spa_witness(1), ValueError, "need d >= 2"),
+    (lambda: witness_expectation(np.eye(9), werner_state(2, 0.5)), DimensionMismatchError,
+     "operator shape (9, 9) vs state (4, 4)"),
+], ids=["unknown family", "unknown kind", "witness d=1", "witness shape"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tables.reproduce_table("VII"), "unknown table id 'VII'"),
+    (lambda: scan_family("werner", 3, CorrelationSpec(standard_mubs(3)),
+                         closed_form_record(standard_mubs(3), "mub"), step=0.0),
+     "step must be positive"),
+    (lambda: scan_family("werner", 3, CorrelationSpec(standard_mubs(3)),
+                         closed_form_record(standard_mubs(3), "mub"), step=-1e-3),
+     "step must be positive"),
+], ids=["table VII", "step 0", "step -1e-3"])
+def test_table_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
