@@ -3,6 +3,7 @@
 Outputs are JSON by default (values rounded to six significant digits) or
 CSV with ``--format csv`` where the result is naturally tabular.  Exit code
 is nonzero only on errors; detection outcomes are data, not exit codes.
+Each subcommand declares only the flags it reads; any other flag is an error.
 """
 
 from __future__ import annotations
@@ -171,10 +172,7 @@ def _load(path, parse=density_from_json_obj):
 
 
 def _options(args) -> OptimizerOptions:
-    return OptimizerOptions(
-        restarts=getattr(args, "restarts", None),
-        seed=0 if args.seed is None else args.seed,
-    )
+    return OptimizerOptions(restarts=args.restarts, seed=0 if args.seed is None else args.seed)
 
 
 def _closed_form_record(spec: CorrelationSpec) -> BoundRecord:
@@ -188,27 +186,29 @@ def _closed_form_record(spec: CorrelationSpec) -> BoundRecord:
                        argmin=None, argmax=None, restarts=0, converged=True)
 
 
-def _bounds_for(spec: CorrelationSpec, args) -> BoundRecord:
+def _spec_and_bounds(args, family) -> tuple[CorrelationSpec, BoundRecord]:
+    """The spec and bound record that ``detect`` and ``scan`` test a ``family`` state against."""
+    spec = CorrelationSpec(_resolve_design(args),
+                           conjugate_second=args.conjugate_second or family == "isotropic")
     if args.bounds != "cached":
         _reject(args, ("bounds_file",), "without --bounds cached")
     if args.bounds != "recompute":
         _reject(args, ("restarts", "seed"), "without --bounds recompute")
     if args.bounds == "closed-form":
-        return _closed_form_record(spec)
+        return spec, _closed_form_record(spec)
     if args.bounds == "cached":
         if not args.bounds_file:
             raise ValueError("--bounds cached requires --bounds-file")
-        return _load(args.bounds_file, _from_json)
-    return compute_bound_record(spec.design, _options(args))
+        return spec, _load(args.bounds_file, _from_json)
+    return spec, compute_bound_record(spec.design, _options(args))
 
 
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_designs(args) -> int:
-    _reject(args, ("conjugate_second", "restarts", "seed"),
-            "by designs, which print and verify the design itself")
     design = _resolve_design(args)
     if args.action == "show":
+        _reject(args, ("tol",), "by designs show, which verifies nothing")
         if design.kind == "mub":
             payload = {**_to_json(design, ["kind", "dim"]), "bases": _to_json(design.groups)}
         else:
@@ -216,17 +216,16 @@ def cmd_designs(args) -> int:
         _emit_json({**payload, "provenance": design.provenance})
         return 0
     verify = verify_mub if design.kind == "mub" else verify_sic
-    report = verify(design, args.tol)
+    report = verify(design, 1e-9 if args.tol is None else args.tol)
     keys = ["max_deviation", "tolerance", "kind", "dim", "count", "details"]
     _emit_json({"pass": report.passed, **_to_json(report, keys)})
     return 0
 
 
 def cmd_correlate(args) -> int:
-    _reject(args, ("restarts", "seed"), "by correlate, which runs no optimizer")
     rho = _load(args.state)
     design = _resolve_design(args)
-    spec = CorrelationSpec(design, conjugate_second=bool(args.conjugate_second))
+    spec = CorrelationSpec(design, conjugate_second=args.conjugate_second)
     value = correlation_sum(rho, spec)
     _emit_json({
         "value": value,
@@ -237,8 +236,6 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _reject(args, ("conjugate_second",), "by bounds: conjugating the second party's vectors "
-            "leaves the separable bounds unchanged")
     opts = _options(args)
     if args.family_scan:
         if args.design != "mub" or args.d != 4:
@@ -274,8 +271,9 @@ def cmd_bounds(args) -> int:
             keys = ["dim", "subset_size", "l_minus", "l_plus", "u_minus", "u_plus"]
             _emit_json({**_to_json(spectrum, keys), "subset_count": len(spectrum.per_subset)})
         return 0
-    design = _resolve_design(args)
-    record = compute_bound_record(design, opts)
+    if args.format == "csv":
+        raise ValueError("--format is ignored by bounds of one design, printed as JSON")
+    record = compute_bound_record(_resolve_design(args), opts)
     _emit_json(_to_json(record, [f.name for f in _RECORD_FIELDS]))
     return 0
 
@@ -292,10 +290,7 @@ def cmd_detect(args) -> int:
             raise ValueError("detect needs --state werner|isotropic with --param, or --state-file")
         rho = symmetric_state(SymmetricStateSpec(args.state, args.d, args.param))
         state_descriptor = {"source": args.state, "parameter": args.param}
-    design = _resolve_design(args)
-    conjugate = args.conjugate_second or args.state == "isotropic"
-    spec = CorrelationSpec(design, conjugate_second=conjugate)
-    record = _bounds_for(spec, args)
+    spec, record = _spec_and_bounds(args, args.state)
     verdict = detect(rho, spec, record, args.tol)
     _emit_json({
         **_to_json(verdict, ["verdict", "value", "lower_used", "upper_used",
@@ -308,10 +303,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    design = _resolve_design(args)
-    conjugate = args.conjugate_second or args.family == "isotropic"
-    spec = CorrelationSpec(design, conjugate_second=conjugate)
-    record = _bounds_for(spec, args)
+    spec, record = _spec_and_bounds(args, args.family)
     result = scan_family(
         args.family,
         args.d,
@@ -354,11 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, design=True, design_aliases=()):
-        p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-9, help="verdict/verification tolerance")
-        if design:
+    def add(name, func, summary, *shared, design_aliases=()):
+        """Add subcommand ``name`` with the shared flag groups in ``shared`` only."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if "design" in shared:
             p.add_argument("--design", *design_aliases, choices=("mub", "sic"), required=True)
             p.add_argument("--d", type=int, required=True, help="local dimension")
             p.add_argument("--m", type=int, default=None, help="leading-subset size")
@@ -367,63 +359,61 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--x", type=float, default=None, help="triple-family x (d=4)")
             p.add_argument("--y", type=float, default=None, help="triple-family y (d=4)")
             p.add_argument("--z", type=float, default=None, help="triple-family z (d=4)")
-            p.add_argument("--conjugate-second", action="store_true", default=None,
-                           help="second party measures conjugated vectors")
+        if "optimizer" in shared:
+            p.add_argument("--seed", type=int, default=None, help="optimizer seed (default 0)")
             p.add_argument("--restarts", type=int, default=None)
+        if "format" in shared:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if "tol" in shared:
+            p.add_argument("--tol", type=float, default=1e-9, help="verdict tolerance")
+        if "conjugate" in shared:
+            p.add_argument("--conjugate-second", action="store_true",
+                           help="second party measures conjugated vectors")
+        if "bounds" in shared:
+            p.add_argument("--bounds", choices=("recompute", "closed-form", "cached"),
+                           default="recompute")
+            p.add_argument("--bounds-file", default=None)
+        return p
 
-    p = sub.add_parser("designs", help="print or verify a design")
+    p = add("designs", cmd_designs, "print or verify a design", "design", design_aliases=("--kind",))
     p.add_argument("action", choices=("show", "verify"))
-    add_common(p, design_aliases=("--kind",))
-    p.set_defaults(func=cmd_designs)
+    p.add_argument("--tol", type=float, default=None, help="verify tolerance (default 1e-9)")
 
-    p = sub.add_parser("correlate", help="correlation sum of a state file")
+    p = add("correlate", cmd_correlate, "correlation sum of a state file", "design", "conjugate")
     p.add_argument("--state", required=True, help="density-matrix JSON file")
-    add_common(p)
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("bounds", help="separable bounds for a design")
-    add_common(p)
+    p = add("bounds", cmd_bounds, "separable bounds for a design", "design", "optimizer", "format")
     p.add_argument("--all-subsets", action="store_true",
                    help="enumerate every subset of size --m")
     p.add_argument("--family-scan", action="store_true",
                    help="scan the d=4 triple family lower bound")
     p.add_argument("--grid-steps", type=int, default=None,
                    help="grid points per axis of --family-scan (default 25)")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("detect", help="classify a state against design bounds")
+    p = add("detect", cmd_detect, "classify a state against design bounds",
+            "design", "optimizer", "tol", "conjugate", "bounds")
     p.add_argument("--state", choices=("werner", "isotropic"), default=None)
     p.add_argument("--param", type=float, default=None)
     p.add_argument("--state-file", default=None)
-    add_common(p)
-    p.add_argument("--bounds", choices=("recompute", "closed-form", "cached"),
-                   default="recompute")
-    p.add_argument("--bounds-file", default=None)
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("scan", help="verdict scan over a symmetric family")
+    p = add("scan", cmd_scan, "verdict scan over a symmetric family",
+            "design", "optimizer", "format", "tol", "conjugate", "bounds")
     p.add_argument("--family", choices=("werner", "isotropic"), required=True)
-    add_common(p)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--stop", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--bounds", choices=("recompute", "closed-form", "cached"),
-                   default="recompute")
-    p.add_argument("--bounds-file", default=None)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("tables", help="recompute a reference table")
+    p = add("tables", cmd_tables, "recompute a reference table", "optimizer", "format")
     p.add_argument("--id", required=True, choices=TABLE_IDS)
-    add_common(p, design=False)
-    p.add_argument("--restarts", type=int, default=None)
-    p.set_defaults(func=cmd_tables)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
     try:
+        if unread:  # a flag this subcommand does not declare
+            raise ValueError(f"{unread[0].partition('=')[0]} is ignored by {args.command}")
         return args.func(args)
     except BrokenPipeError:  # a reader that stops early, as `head` does, is not an error
         # the interpreter's last flush of stdout would raise again: send it to devnull

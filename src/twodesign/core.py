@@ -143,6 +143,15 @@ def partial_transpose(rho, subsystem: str = "B", local_dim: int | None = None) -
     return t.reshape(d * d, d * d)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and non-negative.
+
+    A negative band flags values inside the separable bounds, or fails every design check.
+    """
+    if not 0 <= tol < np.inf:  # stated as the range that must hold, so NaN fails it
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 def _check_densities(m: np.ndarray) -> None:
     """Run :func:`validate_density`'s checks on a finite (n, D, D) stack.
 

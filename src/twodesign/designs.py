@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UnsupportedDimensionError, symmetry_projectors
+from .core import UnsupportedDimensionError, _check_tol, symmetry_projectors
 
 
 def _unit_rows(vectors) -> np.ndarray:
@@ -206,6 +206,7 @@ def standard_mubs(d: int) -> Design:
 
 def verify_mub(mubs: Design, tol: float = 1e-10) -> VerificationReport:
     """Check orthonormality of each basis and 1/d cross-basis overlaps."""
+    _check_tol(tol)
     d = mubs.dim
     gram = mubs.groups.conj() @ np.swapaxes(mubs.groups, 1, 2)
     ortho_dev = float(np.abs(gram - np.eye(d)).max())
@@ -310,6 +311,7 @@ def sic_povm(d: int) -> Design:
 
 def verify_sic(sic: Design, tol: float = 1e-10) -> VerificationReport:
     """Check unit norms and pairwise overlap^2 = 1/(d+1)."""
+    _check_tol(tol)
     v = sic.vectors
     d = sic.dim
     norm_dev = float(np.abs(np.linalg.norm(v, axis=1) - 1).max())

@@ -19,6 +19,7 @@ from .core import (
     DimensionMismatchError,
     NotHermitianError,
     ParameterOutOfRangeError,
+    _check_tol,
     max_entangled_state,
     symmetry_projectors,
     validate_density,
@@ -150,15 +151,6 @@ def _check_bounds_match(spec: CorrelationSpec, bounds: BoundRecord) -> None:
         raise DesignMismatchError(
             f"bounds are for design {bounds.provenance}, spec is {spec.design.provenance}"
         )
-
-
-def _check_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is finite and non-negative.
-
-    A negative band would flag values on or inside the separable bounds.
-    """
-    if not 0 <= tol < np.inf:  # stated as the range that must hold, so NaN fails it
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def _classify(value: float, bounds: BoundRecord, tol: float = 1e-9) -> Verdict:

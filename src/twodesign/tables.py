@@ -33,10 +33,10 @@ from .bounds import (
     separable_upper_bound,
     subset_bound_spectrum,
 )
-from .core import DimensionMismatchError, _check_densities
+from .core import DimensionMismatchError, _check_densities, _check_tol
 from .correlations import CorrelationSpec
 from .designs import mub_triple_family_d4, sic_povm, standard_mubs
-from .states import _check_bounds_match, _check_tol, _classify, _family_matrices
+from .states import _check_bounds_match, _classify, _family_matrices
 from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
 
 TABLE_IDS = ("I", "II", "III", "IV", "V", "EQ12")

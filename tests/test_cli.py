@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,14 @@ from twodesign.bounds import (
     separable_lower_bound,
     subset_bound_spectrum,
 )
-from twodesign.cli import _closed_form_record, _from_json, _to_json, main
+from twodesign.cli import (
+    _build_parser,
+    _closed_form_record,
+    _emit_json,
+    _from_json,
+    _to_json,
+    main,
+)
 from twodesign.correlations import CorrelationSpec
 from twodesign.designs import sic_povm, standard_mubs
 
@@ -112,14 +120,20 @@ class TestDesignsCommand:
         assert json.loads(out)["pass"] is True
 
     def test_non_finite_value_is_error_not_invalid_json(self, capsys):
-        # a NaN tolerance is echoed back; strict JSON refuses it
+        # strict JSON: a NaN is refused, not printed as a bare NaN token
+        with pytest.raises(ValueError, match="^Out of range float values"):
+            _emit_json({"x": float("nan")})
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_negative_or_non_finite_tol_is_error(self, capsys, tol):
+        # with --tol -1 every design used to print "pass": false, and exit 0
         code, out, err = run_cli(
-            capsys, "designs", "verify", "--design", "mub", "--d", "2", "--tol", "nan"
+            capsys, "designs", "verify", "--design", "mub", "--d", "2", "--tol", tol
         )
         assert code == 1 and out == ""
-        payload = json.loads(err)
-        assert payload["error"] == "ValueError"
-        assert payload["message"].startswith("Out of range float values")
+        message = f"tol must be finite and non-negative, got {float(tol)!r}"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
 
     def test_unsupported_dimension_is_error(self, capsys):
         code, _, err = run_cli(capsys, "designs", "show", "--design", "mub", "--d", "6")
@@ -403,6 +417,21 @@ IGNORED_FLAGS = [
      "--restarts"),
     (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--seed", "3"],
      "--seed"),
+    # declared by no subcommand that reads it
+    (["designs", "verify", "--design", "mub", "--d", "2", "--format", "csv"], "--format"),
+    (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--format", "csv"],
+     "--format"),
+    (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--tol", "5"],
+     "--tol"),
+    (["bounds", "--design", "mub", "--d", "2", "--m", "2", "--tol", "5"], "--tol"),
+    (["detect", "--state", "werner", "--param", "0.2", "--design", "mub", "--d", "2",
+      "--bounds", "closed-form", "--format", "csv"], "--format"),
+    (["tables", "--id", "EQ12", "--tol", "5"], "--tol"),
+    (["tables", "--id", "EQ12", "--tol=5"], "--tol"),
+    (["bounds", "--design", "mub", "--d", "2", "--m", "2", "--sede", "3"], "--sede"),
+    # declared, but left unread by the other flags
+    (["designs", "show", "--design", "mub", "--d", "2", "--tol", "5"], "--tol"),
+    (["bounds", "--design", "mub", "--d", "2", "--m", "2", "--format", "csv"], "--format"),
 ]
 
 
@@ -417,6 +446,17 @@ class TestIgnoredFlags:
         assert code == 1 and out == ""
         message = json.loads(err)["message"]
         assert message.startswith(f"{flag} is ignored"), message
+
+
+def test_readme_commands_declare_every_flag():
+    # the README's command-line examples use only flags their subcommand declares
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("twodesign ")]
+    assert len(lines) >= 10
+    for line in lines:
+        _, unread = _build_parser().parse_known_args(shlex.split(line)[1:])
+        assert unread == [], line
 
 
 class TestDetectCommand:

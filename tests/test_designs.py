@@ -337,7 +337,12 @@ class TestSubset:
     (lambda: hw_displacement(3, 3, 0), ValueError, "need 0 <= a, b < 3"),
     (lambda: hw_displacement(3, 0, -1), ValueError, "need 0 <= a, b < 3"),
     (lambda: sic_fiducial(5), UnsupportedDimensionError, "no fiducial stored for d=5"),
-], ids=["empty stack", "a out of range", "b out of range", "fiducial d=5"])
+    # a negative tolerance would fail every design, an infinite one pass every one
+    (lambda: verify_mub(standard_mubs(2), -1.0), ValueError, "non-negative, got -1.0"),
+    (lambda: verify_mub(standard_mubs(2), float("inf")), ValueError, "non-negative, got inf"),
+    (lambda: verify_sic(sic_povm(2), float("nan")), ValueError, "non-negative, got nan"),
+], ids=["empty stack", "a out of range", "b out of range", "fiducial d=5",
+        "verify_mub tol -1", "verify_mub tol inf", "verify_sic tol nan"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
