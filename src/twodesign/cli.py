@@ -206,6 +206,8 @@ def _spec_and_bounds(args, family) -> tuple[CorrelationSpec, BoundRecord]:
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_designs(args) -> int:
+    if args.action not in ("show", "verify"):
+        raise ValueError(f"designs action must be show or verify, got {args.action!r}")
     design = _resolve_design(args)
     if args.action == "show":
         _reject(args, ("tol",), "by designs show, which verifies nothing")
@@ -376,7 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("designs", cmd_designs, "print or verify a design", "design", design_aliases=("--kind",))
-    p.add_argument("action", choices=("show", "verify"))
+    # checked in cmd_designs: with choices, argparse would take an undeclared flag's value
+    # (``designs --seed 5 verify``) for the action and fail before the leftover-flag rule
+    p.add_argument("action", metavar="{show,verify}")
     p.add_argument("--tol", type=float, default=None, help="verify tolerance (default 1e-9)")
 
     p = add("correlate", cmd_correlate, "correlation sum of a state file", "design", "conjugate")

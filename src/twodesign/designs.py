@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UnsupportedDimensionError, _check_tol, symmetry_projectors
+from .core import UnsupportedDimensionError, _as_complex, _check_tol, symmetry_projectors
 
 
 def _unit_rows(vectors) -> np.ndarray:
-    v = np.asarray(vectors, dtype=complex)
+    v = _as_complex(vectors)  # a non-finite entry fails here, not in the norm below
     if v.ndim != 2 or v.shape[0] == 0:
         raise ValueError("expected a non-empty stack of vectors")
     norms = np.linalg.norm(v, axis=1)
@@ -338,7 +338,7 @@ def verify_2design(vectors) -> float:
     Returns ``max_entry |(1/n) sum_i |v_i><v_i|^(x2) - (2/(d(d+1))) P_sym|``;
     a value near zero certifies the vectors form a projective 2-design.
     """
-    v = _unit_rows(np.asarray(vectors, dtype=complex))
+    v = _unit_rows(vectors)
     n, d = v.shape
     pairs = (v[:, :, None] * v[:, None, :]).reshape(n, d * d)  # rows v x v
     frame = pairs.T @ pairs.conj() / n

@@ -12,6 +12,9 @@ replaced by corrected references; the published number is kept beside each
 corrected reference *and* the optimizer's own reported state, re-evaluated
 directly, lies beyond the published number by more than the tolerance, so
 every run proves the refutation again.
+
+Every lower/upper row pair of Tables I, V and EQ12 is built by one function
+(``_bound_rows``), and a table id is one entry of the map ``_TABLES``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from .correlations import CorrelationSpec
 from .designs import mub_triple_family_d4, sic_povm, standard_mubs
 from .states import _check_bounds_match, _classify, _family_matrices
 from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
-
-TABLE_IDS = ("I", "II", "III", "IV", "V", "EQ12")
 
 
 @dataclass(frozen=True)
@@ -188,40 +189,45 @@ SIC_D2_TOL = 1e-5
 FIGURE_TOL = 1e-2
 
 
+def _bound_rows(design, cell: str, labels: dict, refs, tols, opts: OptimizerOptions,
+                published=(None, None)) -> list[TableRow]:
+    """The ``L<cell>`` and ``U<cell>`` rows of ``design``; ``refs``, ``tols`` and
+    ``published`` are (lower, upper) pairs.  Each end is re-evaluated at the
+    optimizer's own state and passed to :func:`_row` as ``certificate``."""
+    lo = separable_lower_bound(design, opts)
+    up = separable_upper_bound(design, opts)
+    certs = (_product_value(design.vectors, lo.minimizer.e, lo.minimizer.f),
+             _product_value(design.vectors, up.maximizer, up.maximizer))
+    return [_row({"cell": f"{end}{cell}", **labels}, res.value, ref, tol, published=pub,
+                 certificate=cert)
+            for end, res, ref, tol, pub, cert in zip("LU", (lo, up), refs, tols, published, certs)]
+
+
 def _reproduce_table_i(opts: OptimizerOptions) -> TableReport:
     rows = []
     for d in (2, 3):
         mubs = standard_mubs(d)
         for m in range(2, d + 2):
             sub = mubs.subset(range(m))
-            lo = separable_lower_bound(sub, opts)
-            rows.append(_row({"cell": f"L({m},{d})", "design": sub.provenance},
-                             lo.value, MUB_LOWER_REFS[(m, d)], LOWER_TOL))
-            up = separable_upper_bound(sub, opts)
-            rows.append(_row({"cell": f"U({m},{d})", "design": sub.provenance},
-                             up.value, closed_form_mub_upper(m, d), UPPER_CLOSED_TOL))
+            refs = (MUB_LOWER_REFS[(m, d)], closed_form_mub_upper(m, d))
+            rows += _bound_rows(sub, f"({m},{d})", {"design": sub.provenance}, refs,
+                                (LOWER_TOL, UPPER_CLOSED_TOL), opts)
+    # d = 4 rows run L-, L+, U; L+ is on its own design for m = 2, 3, else on the prefix
     mubs4 = standard_mubs(4)
-    half_pi = np.pi / 2
-    minus_designs = {m: mubs4.subset(range(m)) for m in (2, 3, 4, 5)}
-    plus_designs = {
-        2: replace(mub_triple_family_d4(0.0, 0.0, 0.0).subset([0, 1]), provenance="family-pair(x=0)"),
-        3: mub_triple_family_d4(half_pi, 0.0, 0.0),
-        4: minus_designs[4],
-        5: minus_designs[5],
-    }
+    x0_pair = replace(mub_triple_family_d4(0.0, 0.0, 0.0).subset([0, 1]),
+                      provenance="family-pair(x=0)")
+    plus_designs = {2: x0_pair, 3: mub_triple_family_d4(np.pi / 2, 0.0, 0.0)}
     for m in (2, 3, 4, 5):
-        ref_minus, ref_plus = MUB_LOWER_REFS_D4[m]
-        lo_minus = separable_lower_bound(minus_designs[m], opts)
-        rows.append(_row({"cell": f"L-({m},4)", "design": minus_designs[m].provenance},
-                         lo_minus.value, ref_minus, LOWER_TOL))
-        if plus_designs[m] is minus_designs[m]:
-            lo_plus = lo_minus
-        else:
-            lo_plus = separable_lower_bound(plus_designs[m], opts)
-        rows.append(_row({"cell": f"L+({m},4)", "design": plus_designs[m].provenance},
-                         lo_plus.value, ref_plus, LOWER_TOL))
-        up = separable_upper_bound(minus_designs[m], opts)
-        rows.append(_row({"cell": f"U({m},4)", "design": minus_designs[m].provenance},
+        sub = mubs4.subset(range(m))
+        plus = plus_designs.get(m)
+        lo = separable_lower_bound(sub, opts)
+        lows = (lo, lo if plus is None else separable_lower_bound(plus, opts))
+        for col, design, res, ref in zip(("L-", "L+"), (sub, plus or sub), lows,
+                                         MUB_LOWER_REFS_D4[m]):
+            rows.append(_row({"cell": f"{col}({m},4)", "design": design.provenance},
+                             res.value, ref, LOWER_TOL))
+        up = separable_upper_bound(sub, opts)
+        rows.append(_row({"cell": f"U({m},4)", "design": sub.provenance},
                          up.value, closed_form_mub_upper(m, 4), UPPER_CLOSED_TOL))
     return TableReport("I", LOWER_TOL, tuple(rows))
 
@@ -274,57 +280,39 @@ def _reproduce_table_iii(opts: OptimizerOptions) -> TableReport:
 def _reproduce_table_v(opts: OptimizerOptions) -> TableReport:
     rows = []
     sic = sic_povm(4)
-    for mt, (l_ref, u_ref) in SIC_D4_REFS.items():
+    for mt, refs in SIC_D4_REFS.items():
         sub = sic.subset(range(mt))
         label = ",".join(f"({a},{b})" for a, b in sub.labels)
-        lo = separable_lower_bound(sub, opts)
-        up = separable_upper_bound(sub, opts)
-        rows.append(_row(
-            {"cell": f"L({mt},4)", "subset": label}, lo.value, l_ref, LOWER_TOL,
-            published=SIC_D4_PUBLISHED.get((mt, "L")),
-            certificate=_product_value(sub.vectors, lo.minimizer.e, lo.minimizer.f),
-        ))
-        rows.append(_row(
-            {"cell": f"U({mt},4)", "subset": label}, up.value, u_ref, LOWER_TOL,
-            published=SIC_D4_PUBLISHED.get((mt, "U")),
-            certificate=_product_value(sub.vectors, up.maximizer, up.maximizer),
-        ))
+        published = (SIC_D4_PUBLISHED.get((mt, "L")), SIC_D4_PUBLISHED.get((mt, "U")))
+        rows += _bound_rows(sub, f"({mt},4)", {"subset": label}, refs, (LOWER_TOL, LOWER_TOL),
+                            opts, published)
     return TableReport("V", LOWER_TOL, tuple(rows))
 
 
 def _reproduce_eq12(opts: OptimizerOptions) -> TableReport:
     rows = []
     for d in (2, 3):
-        full_mub = standard_mubs(d)
-        full_sic = sic_povm(d)
-        for kind, design in (("mub", full_mub), ("sic", full_sic)):
-            l_ref, u_ref = design_closed_bounds(d, kind)
-            lo = separable_lower_bound(design, opts)
-            up = separable_upper_bound(design, opts)
-            rows.append(_row({"cell": f"L(full {kind}, d={d})"}, lo.value, l_ref, UPPER_CLOSED_TOL))
-            rows.append(_row({"cell": f"U(full {kind}, d={d})"}, up.value, u_ref, UPPER_CLOSED_TOL))
+        for kind, design in (("mub", standard_mubs(d)), ("sic", sic_povm(d))):
+            rows += _bound_rows(design, f"(full {kind}, d={d})", {}, design_closed_bounds(d, kind),
+                                (UPPER_CLOSED_TOL, UPPER_CLOSED_TOL), opts)
     return TableReport("EQ12", UPPER_CLOSED_TOL, tuple(rows))
 
 
+_TABLES = {"I": _reproduce_table_i, "II": _reproduce_table_ii, "III": _reproduce_table_iii,
+           "IV": _reproduce_table_ii, "V": _reproduce_table_v, "EQ12": _reproduce_eq12}
+TABLE_IDS = tuple(_TABLES)
+
+
 def reproduce_table(table_id: str, opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableReport:
-    """Recompute one reference table and compare cell by cell.
+    """Recompute one reference table (an id of ``TABLE_IDS``, in any case) cell by cell.
 
     Ids II and IV name the same 28 d = 3 cells (the reference data exists in
     a rounded and a higher-precision variant) and run the same computation.
     """
     tid = table_id.upper()
-    if tid == "I":
-        return _reproduce_table_i(opts)
-    if tid in ("II", "IV"):
-        report = _reproduce_table_ii(opts)
-        return TableReport(tid, report.tolerance, report.rows)
-    if tid == "III":
-        return _reproduce_table_iii(opts)
-    if tid == "V":
-        return _reproduce_table_v(opts)
-    if tid == "EQ12":
-        return _reproduce_eq12(opts)
-    raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    if tid not in _TABLES:
+        raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    return replace(_TABLES[tid](opts), table_id=tid)
 
 
 # -- detection-threshold scans -----------------------------------------------------

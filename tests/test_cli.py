@@ -31,6 +31,7 @@ from twodesign.cli import (
 )
 from twodesign.correlations import CorrelationSpec
 from twodesign.designs import sic_povm, standard_mubs
+from twodesign.tables import TABLE_IDS, reproduce_table
 
 
 def run_cli(capsys, *argv):
@@ -413,6 +414,8 @@ IGNORED_FLAGS = [
       "--seed", "3"], "--seed"),
     (["designs", "verify", "--design", "mub", "--d", "2", "--restarts", "5"], "--restarts"),
     (["designs", "verify", "--design", "mub", "--d", "2", "--seed", "3"], "--seed"),
+    # before the action, too: argparse must not take "5" for the action
+    (["designs", "--seed", "5", "verify", "--design", "mub", "--d", "2"], "--seed"),
     (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--restarts", "5"],
      "--restarts"),
     (["correlate", "--state", "state.json", "--design", "mub", "--d", "2", "--seed", "3"],
@@ -457,6 +460,21 @@ def test_readme_commands_declare_every_flag():
     for line in lines:
         _, unread = _build_parser().parse_known_args(shlex.split(line)[1:])
         assert unread == [], line
+
+
+def test_readme_python_quick_start_runs():
+    # the README's Python quick start runs and gives the values its comments state
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (Python)", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(block.split("```", 1)[0], scope)
+    assert scope["mubs"].vectors.shape == (12, 3) and scope["mubs"].count == 4
+    assert scope["td"].verify_2design(scope["sic"].vectors) < 1e-15
+    assert scope["pair"].provenance == "standard[1,2]"
+    record = scope["record"]
+    assert abs(record.lower - 1.0) < 1e-12 and abs(record.upper - 2.0) < 1e-12
+    assert scope["verdict"].verdict.value == "EntangledByLower"
+    assert round(scope["spectrum"].l_plus, 4) == 0.1126
 
 
 class TestDetectCommand:
@@ -683,6 +701,22 @@ class TestTablesCommand:
             main(["tables", "--id", "VII"])
 
 
+class TestTableIds:
+    def test_iv_is_ii_under_its_own_id(self):
+        iv, ii = reproduce_table("iv"), reproduce_table("II")
+        assert iv.table_id == "IV" and ii.table_id == "II"
+        assert iv.rows == ii.rows and iv.tolerance == ii.tolerance
+
+    def test_cli_offers_every_table_id(self):
+        tables = next(a.choices["tables"] for a in _build_parser()._actions if a.dest == "command")
+        choices = next(a.choices for a in tables._actions if a.dest == "id")
+        assert tuple(choices) == TABLE_IDS == ("I", "II", "III", "IV", "V", "EQ12")
+
+    def test_unknown_table_id(self):
+        with pytest.raises(ValueError, match=r"unknown table id 'VII'; expected one of \("):
+            reproduce_table("VII")
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("argv, message", [
         (["designs", "show", "--design", "mub", "--d", "3", "--x", "0.5"],
@@ -693,8 +727,10 @@ class TestInputChecks:
          "--all-subsets requires --m"),
         (["bounds", "--design", "mub", "--d", "2", "--m", "2", "--all-subsets"],
          "--all-subsets enumerates SIC subsets; use --design sic"),
+        (["designs", "bogus", "--design", "mub", "--d", "2"],
+         "designs action must be show or verify, got 'bogus'"),
     ], ids=["--x with d=3", "cached without file", "all-subsets without m",
-            "all-subsets mub"])
+            "all-subsets mub", "designs bogus"])
     def test_rejected(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""

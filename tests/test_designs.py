@@ -341,8 +341,14 @@ class TestSubset:
     (lambda: verify_mub(standard_mubs(2), -1.0), ValueError, "non-negative, got -1.0"),
     (lambda: verify_mub(standard_mubs(2), float("inf")), ValueError, "non-negative, got inf"),
     (lambda: verify_sic(sic_povm(2), float("nan")), ValueError, "non-negative, got nan"),
+    # a NaN entry would pass as a design and verify as nan; an inf one warns in the norm
+    (lambda: Design("sic", 2, [[np.nan, 0], [0, 1]]), ValueError, "non-finite entries"),
+    (lambda: Design("sic", 2, [[np.inf, 0], [0, 1]]), ValueError, "non-finite entries"),
+    (lambda: verify_2design([[np.nan, 0], [0, 1]]), ValueError, "non-finite entries"),
+    (lambda: verify_2design([[1, 0], [0, -np.inf]]), ValueError, "non-finite entries"),
 ], ids=["empty stack", "a out of range", "b out of range", "fiducial d=5",
-        "verify_mub tol -1", "verify_mub tol inf", "verify_sic tol nan"])
+        "verify_mub tol -1", "verify_mub tol inf", "verify_sic tol nan",
+        "Design nan", "Design inf", "verify_2design nan", "verify_2design -inf"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
