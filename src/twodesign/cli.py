@@ -103,19 +103,27 @@ _RECORD_FIELDS = [f for f in dataclasses.fields(BoundRecord) if f.name != "indic
 #: Values a bounds file may omit, beyond the fields' own defaults.
 _RECORD_DEFAULTS = {"subset_or_params": "", "argmin": None, "argmax": None,
                     "restarts": 0, "converged": True}
-#: How a JSON value becomes a field, by annotation text (bounds.py postpones
-#: annotations); other fields keep the JSON value.
-_FIELD_PARSERS = {"int": int, "float": float, "bool": bool, "np.ndarray": _unit,
+#: The JSON types a scalar field takes, by annotation text (bounds.py postpones
+#: annotations); a bool is not a number.
+_FIELD_TYPES = {"int": ("an integer", {int}), "float": ("a number", {int, float}),
+                "bool": ("a boolean", {bool})}
+#: How a JSON value becomes a field; other fields keep the JSON value.
+_FIELD_PARSERS = {"float": float, "np.ndarray": _unit,
                   "ProductState": lambda obj: ProductState(_unit(obj["e"]), _unit(obj["f"]))}
 
 
 def _from_json(obj: dict) -> BoundRecord:
     """The :class:`BoundRecord` that ``twodesign bounds`` printed as ``obj``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a bounds file must hold a JSON object, got {type(obj).__name__}")
     kwargs = {}
     for f in _RECORD_FIELDS:
         value = obj.get(f.name, _RECORD_DEFAULTS.get(f.name, f.default))
         if value is dataclasses.MISSING:
             raise KeyError(f.name)
+        kind, types = _FIELD_TYPES.get(f.type, (None, None))
+        if kind and type(value) not in types:
+            raise ValueError(f"bounds field {f.name!r} must be {kind}, got {value!r}")
         parse = _FIELD_PARSERS.get(f.type)
         kwargs[f.name] = value if value is None or parse is None else parse(value)
     return BoundRecord(**kwargs)

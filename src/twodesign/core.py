@@ -209,11 +209,13 @@ def density_to_json_obj(rho: DensityMatrix) -> dict:
 
 def density_from_json_obj(obj: dict) -> DensityMatrix:
     try:
-        d = int(obj["local_dim"])
+        d = obj["local_dim"]
         rows = obj["matrix"]
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed density-matrix object: {exc}") from exc
+    if type(d) is not int:
+        raise ValueError(f"state field 'local_dim' must be an integer, got {d!r}")
     return validate_density(m, d)
 
 

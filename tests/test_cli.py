@@ -169,6 +169,18 @@ class TestCorrelateCommand:
         code, out, _ = run_cli(capsys, "designs", "verify", "--kind", "mub", "--d", "2")
         assert code == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("local_dim", [2.7, "2", 2.0, True])
+    def test_local_dim_must_be_a_json_integer(self, capsys, tmp_path, local_dim):
+        path = tmp_path / "state.json"
+        save_density(path, validate_density(np.eye(4) / 4, 2))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "local_dim": local_dim}))
+        code, out, err = run_cli(
+            capsys, "correlate", "--state", str(path), "--design", "mub", "--d", "2"
+        )
+        assert code == 1 and out == ""
+        message = f"state field 'local_dim' must be an integer, got {local_dim!r}"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_malformed_json_reports_location(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"local_dim": 2, "matrix": [[[1, 0movie]]]}')
@@ -369,6 +381,37 @@ class TestBoundsFile:
         assert json.loads(err) == {
             "error": "ValueError", "message": f"{path}: missing required key 'lower'",
         }
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("size", 2.9, "an integer"), ("dim", 2.5, "an integer"),
+        ("converged", "false", "a boolean"), ("lower", True, "a number"),
+    ])
+    def test_fields_need_their_json_type(self, capsys, tmp_path, key, value, kind):
+        code, out, _ = run_cli(capsys, "bounds", "--design", "mub", "--d", "2", "--m", "2")
+        assert code == 0
+        printed = json.loads(out)
+        path = tmp_path / "bounds.json"
+        argv = ["detect", "--state", "werner", "--param", "0.0", "--design", "mub", "--d", "2",
+                "--m", "2", "--bounds", "cached", "--bounds-file", str(path)]
+        path.write_text(json.dumps(printed))
+        assert run_cli(capsys, *argv)[0] == 0
+        path.write_text(json.dumps({**printed, key: value}))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        message = f"bounds field {key!r} must be {kind}, got {value!r}"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    def test_integer_bounds_are_numbers(self):
+        rec = _from_json({**self.MINIMAL, "lower": 1, "upper": 2})
+        assert (type(rec.lower), type(rec.upper)) == (float, float)
+
+    def test_top_level_must_be_an_object(self, capsys, tmp_path):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps([self.MINIMAL]))
+        code, out, err = self.detect_cached(capsys, path)
+        assert code == 1 and out == ""
+        message = "a bounds file must hold a JSON object, got list"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 IGNORED_FLAGS = [
