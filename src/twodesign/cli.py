@@ -89,9 +89,11 @@ def _to_json(x, names=None):
     return x
 
 
-def _unit(pairs) -> np.ndarray:
+def _unit(pairs, dim: int) -> np.ndarray:
     # the JSON rounds vectors to six digits, so renormalize on load
     v = np.array([complex(re, im) for re, im in pairs])
+    if len(v) != dim:
+        raise ValueError(f"a bounds-file vector has {len(v)} entries, not dim = {dim}")
     norm = np.linalg.norm(v)
     if not 0 < norm < np.inf:
         raise ValueError(f"a bounds-file vector has norm {norm}; it cannot be normalized")
@@ -106,10 +108,14 @@ _RECORD_DEFAULTS = {"subset_or_params": "", "argmin": None, "argmax": None,
 #: The JSON types a scalar field takes, by annotation text (bounds.py postpones
 #: annotations); a bool is not a number.
 _FIELD_TYPES = {"int": ("an integer", {int}), "float": ("a number", {int, float}),
-                "bool": ("a boolean", {bool})}
-#: How a JSON value becomes a field; other fields keep the JSON value.
-_FIELD_PARSERS = {"float": float, "np.ndarray": _unit,
-                  "ProductState": lambda obj: ProductState(_unit(obj["e"]), _unit(obj["f"]))}
+                "bool": ("a boolean", {bool}), "str": ("a string", {str}),
+                "str | None": ("a string or null", {str, type(None)})}
+#: How a JSON value becomes a field, given the record's dim; other fields keep
+#: the JSON value.
+_FIELD_PARSERS = {
+    "float": lambda x, dim: float(x), "np.ndarray": _unit,
+    "ProductState": lambda obj, dim: ProductState(_unit(obj["e"], dim), _unit(obj["f"], dim)),
+}
 
 
 def _from_json(obj: dict) -> BoundRecord:
@@ -125,7 +131,11 @@ def _from_json(obj: dict) -> BoundRecord:
         if kind and type(value) not in types:
             raise ValueError(f"bounds field {f.name!r} must be {kind}, got {value!r}")
         parse = _FIELD_PARSERS.get(f.type)
-        kwargs[f.name] = value if value is None or parse is None else parse(value)
+        try:
+            kwargs[f.name] = value if value is None or parse is None else parse(value, kwargs["dim"])
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"bounds field {f.name!r} is malformed: {why}") from exc
     return BoundRecord(**kwargs)
 
 

@@ -7,7 +7,8 @@ a single vector for SICs), so every consumer reads ``design.vectors`` and
 indices.
 
 MUB sets follow the prime phase rule for d = 2, 3, 5, 7; d = 4 is the
-three-parameter family plus two stored bases.  SIC sets are Heisenberg-Weyl
+three-parameter family, written directly as row vectors, plus two stored
+bases, also as rows.  SIC sets are Heisenberg-Weyl
 orbits for d = 3, 4 and a stored list for d = 2.  Every downstream quantity is
 phase-invariant, so the stored phases only matter for reproducible output.
 """
@@ -121,6 +122,13 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
+def _report(kind: str, design: Design, tol: float, **details: float) -> VerificationReport:
+    """The report of a check whose worst deviation is the largest of ``details``."""
+    _check_tol(tol)
+    dev = max(details.values())
+    return VerificationReport(kind, design.dim, design.count, dev, tol, dev <= tol, details)
+
+
 # -- MUB constructions ---------------------------------------------------------
 
 def _prime_mubs(p: int) -> np.ndarray:
@@ -138,42 +146,25 @@ def _prime_mubs(p: int) -> np.ndarray:
     return np.concatenate([np.eye(p, dtype=complex), rows])
 
 
-def _d4_b2(x) -> np.ndarray:
-    """Second basis of the family, columns as vectors; shape (..., 4, 4) for array x."""
-    e = 1j * np.exp(1j * np.asarray(x, dtype=float))
-    one = np.ones_like(e)
-    m = np.array(
-        [[one, one, one, one], [one, one, -one, -one], [one, -one, e, -e], [one, -one, -e, e]]
-    )
-    return 0.5 * np.moveaxis(m, (0, 1), (-2, -1))
-
-
-def _d4_b3(y, z) -> np.ndarray:
-    """Third basis of the family, columns as vectors; shape (..., 4, 4) for arrays y, z."""
-    ey, ez = np.broadcast_arrays(
-        np.exp(1j * np.asarray(y, float)), np.exp(1j * np.asarray(z, float))
-    )
-    one = np.ones_like(ey)
-    m = np.array(
-        [[one, one, one, one], [one, one, -one, -one], [-ey, ey, ez, -ez], [ey, -ey, ez, -ez]]
-    )
-    return 0.5 * np.moveaxis(m, (0, 1), (-2, -1))
-
-
-_D4_B4 = 0.5 * np.array(
-    [[1, 1, 1, 1], [1j, -1j, 1j, -1j], [-1, -1, 1, 1], [1j, -1j, -1j, 1j]]
-)
-_D4_B5 = 0.5 * np.array(
-    [[1, 1, 1, 1], [1j, -1j, 1j, -1j], [1j, -1j, -1j, 1j], [-1, -1, 1, 1]]
-)
-
-
 def _d4_triple(x, y, z) -> np.ndarray:
     """Row vectors of the family's three bases; shape (..., 12, 4) for arrays x, y, z."""
-    b2 = np.swapaxes(_d4_b2(x), -1, -2)
-    b3 = np.swapaxes(_d4_b3(y, z), -1, -2)
-    b1 = np.broadcast_to(np.eye(4, dtype=complex), b2.shape)
-    return np.concatenate([b1, b2, b3], axis=-2)
+    x, y, z = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (x, y, z)))
+    e, ey, ez = 1j * np.exp(1j * x), np.exp(1j * y), np.exp(1j * z)
+    one = np.ones_like(e)
+    rows = 0.5 * np.array([
+        [one, one, one, one], [one, one, -one, -one], [one, -one, e, -e], [one, -one, -e, e],
+        [one, one, -ey, ey], [one, one, ey, -ey], [one, -one, ez, ez], [one, -one, -ez, -ez],
+    ])
+    rows = np.moveaxis(rows, (0, 1), (-2, -1))
+    eye = np.broadcast_to(np.eye(4, dtype=complex), rows.shape[:-2] + (4, 4))
+    return np.concatenate([eye, rows], axis=-2)
+
+
+# Bases 4 and 5 of standard_mubs(4), completing the triple at (pi/2, pi/2, pi/2)
+_D4_BASES_4_5 = 0.5 * np.array([
+    [1, 1j, -1, 1j], [1, -1j, -1, -1j], [1, 1j, 1, -1j], [1, -1j, 1, 1j],
+    [1, 1j, 1j, -1], [1, -1j, -1j, -1], [1, 1j, -1j, 1], [1, -1j, 1j, 1],
+])
 
 
 def mub_triple_family_d4(x: float, y: float, z: float) -> Design:
@@ -200,13 +191,12 @@ def standard_mubs(d: int) -> Design:
         return Design("mub", d, _prime_mubs(d), provenance="standard")
     if d == 4:
         triple = _d4_triple(np.pi / 2, np.pi / 2, np.pi / 2)
-        return Design("mub", 4, np.concatenate([triple, _D4_B4.T, _D4_B5.T]), provenance="standard")
+        return Design("mub", 4, np.concatenate([triple, _D4_BASES_4_5]), provenance="standard")
     raise UnsupportedDimensionError(f"no standard MUB set for d={d}")
 
 
 def verify_mub(mubs: Design, tol: float = 1e-10) -> VerificationReport:
     """Check orthonormality of each basis and 1/d cross-basis overlaps."""
-    _check_tol(tol)
     d = mubs.dim
     gram = mubs.groups.conj() @ np.swapaxes(mubs.groups, 1, 2)
     ortho_dev = float(np.abs(gram - np.eye(d)).max())
@@ -214,19 +204,7 @@ def verify_mub(mubs: Design, tol: float = 1e-10) -> VerificationReport:
     for a, b in itertools.combinations(mubs.groups, 2):
         ov = np.abs(a.conj() @ b.T) ** 2
         overlap_dev = max(overlap_dev, float(np.abs(ov - 1.0 / d).max()))
-    dev = max(ortho_dev, overlap_dev)
-    return VerificationReport(
-        kind="mub",
-        dim=d,
-        count=mubs.count,
-        max_deviation=dev,
-        tolerance=tol,
-        passed=dev <= tol,
-        details={
-            "orthonormality_deviation": ortho_dev,
-            "overlap_deviation": overlap_dev,
-        },
-    )
+    return _report("mub", mubs, tol, orthonormality_deviation=ortho_dev, overlap_deviation=overlap_dev)
 
 
 # -- Heisenberg-Weyl displacements and SIC constructions -----------------------
@@ -311,7 +289,6 @@ def sic_povm(d: int) -> Design:
 
 def verify_sic(sic: Design, tol: float = 1e-10) -> VerificationReport:
     """Check unit norms and pairwise overlap^2 = 1/(d+1)."""
-    _check_tol(tol)
     v = sic.vectors
     d = sic.dim
     norm_dev = float(np.abs(np.linalg.norm(v, axis=1) - 1).max())
@@ -320,16 +297,7 @@ def verify_sic(sic: Design, tol: float = 1e-10) -> VerificationReport:
         ov = np.abs(v.conj() @ v.T) ** 2
         off = ov[~np.eye(sic.count, dtype=bool)]
         overlap_dev = float(np.abs(off - 1.0 / (d + 1)).max())
-    dev = max(norm_dev, overlap_dev)
-    return VerificationReport(
-        kind="sic",
-        dim=d,
-        count=sic.count,
-        max_deviation=dev,
-        tolerance=tol,
-        passed=dev <= tol,
-        details={"norm_deviation": norm_dev, "overlap_deviation": overlap_dev},
-    )
+    return _report("sic", sic, tol, norm_deviation=norm_dev, overlap_deviation=overlap_dev)
 
 
 def verify_2design(vectors) -> float:

@@ -395,14 +395,13 @@ def figure_critical_values(opts: OptimizerOptions = DEFAULT_OPTIONS) -> TableRep
     for mt in sorted(set(FIGURE_P_REFS) | set(FIGURE_Q_REFS)):
         spec = subset_bound_spectrum(sic, mt, opts)
         lead = sic.subset(range(mt))
-        if mt in FIGURE_P_REFS:
-            at0, at1 = _family_line("werner", 3, CorrelationSpec(lead))
-            rows.append(_row({"cell": f"p{mt}"}, (spec.l_plus - at0) / (at1 - at0),
-                             FIGURE_P_REFS[mt], FIGURE_TOL, bound_used=spec.l_plus))
-        if mt in FIGURE_Q_REFS:
-            at0, at1 = _family_line("isotropic", 3, CorrelationSpec(lead, conjugate_second=True))
-            rows.append(_row(
-                {"cell": f"q{mt}"}, (spec.u_minus - at0) / (at1 - at0), FIGURE_Q_REFS[mt],
-                FIGURE_TOL, published=FIGURE_Q_PUBLISHED.get(mt), bound_used=spec.u_minus,
-            ))
+        for cell, family, refs, bound, published in (
+            ("p", "werner", FIGURE_P_REFS, spec.l_plus, {}),
+            ("q", "isotropic", FIGURE_Q_REFS, spec.u_minus, FIGURE_Q_PUBLISHED),
+        ):
+            if mt in refs:
+                corr = CorrelationSpec(lead, conjugate_second=family == "isotropic")
+                at0, at1 = _family_line(family, 3, corr)
+                rows.append(_row({"cell": f"{cell}{mt}"}, (bound - at0) / (at1 - at0), refs[mt],
+                                 FIGURE_TOL, published=published.get(mt), bound_used=bound))
     return TableReport("FIGURE", FIGURE_TOL, tuple(rows))

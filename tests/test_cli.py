@@ -401,6 +401,52 @@ class TestBoundsFile:
         message = f"bounds field {key!r} must be {kind}, got {value!r}"
         assert json.loads(err) == {"error": "ValueError", "message": message}
 
+    def detect_with_edited_field(self, capsys, tmp_path, key, edit):
+        """``detect`` on the printed d=2, m=2 record with ``key`` set to ``edit(record)``."""
+        code, out, _ = run_cli(capsys, "bounds", "--design", "mub", "--d", "2", "--m", "2")
+        assert code == 0
+        printed = json.loads(out)
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({**printed, key: edit(printed)}))
+        return run_cli(capsys, "detect", "--state", "werner", "--param", "0.0", "--design", "mub",
+                       "--d", "2", "--m", "2", "--bounds", "cached", "--bounds-file", str(path))
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("subset_or_params", [1], "a string"), ("design_kind", 7, "a string"),
+        ("provenance", 5, "a string or null"),
+    ], ids=["subset_or_params", "design_kind", "provenance"])
+    def test_string_fields_need_json_strings(self, capsys, tmp_path, key, value, kind):
+        code, out, err = self.detect_with_edited_field(capsys, tmp_path, key, lambda rec: value)
+        assert code == 1 and out == ""
+        message = f"bounds field {key!r} must be {kind}, got {value!r}"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("key, edit, why", [
+        ("argmax", lambda rec: "x", "not enough values to unpack"),
+        ("argmin", lambda rec: [1], "list indices must be integers"),
+        ("argmax", lambda rec: rec["argmax"] + [[0.0, 0.0]], "has 3 entries, not dim = 2"),
+        ("argmin", lambda rec: {**rec["argmin"], "e": rec["argmin"]["e"] + [[0.0, 0.0]]},
+         "has 3 entries, not dim = 2"),
+        ("argmin", lambda rec: {**rec["argmin"], "f": rec["argmin"]["f"] + [[0.0, 0.0]]},
+         "has 3 entries, not dim = 2"),
+    ], ids=["argmax-not-pairs", "argmin-not-an-object", "argmax-3", "argmin-e-3", "argmin-f-3"])
+    def test_vectors_must_parse_and_fit_the_design(self, capsys, tmp_path, key, edit, why):
+        code, out, err = self.detect_with_edited_field(capsys, tmp_path, key, edit)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"bounds field {key!r} is malformed: ")
+        assert why in payload["message"]
+
+    def test_integer_too_large_for_a_float_names_its_field(self, capsys, tmp_path):
+        path = tmp_path / "bounds.json"
+        text = json.dumps({**self.MINIMAL, "upper": 0})
+        path.write_text(text.replace('"upper": 0', '"upper": 1' + "0" * 400))
+        code, out, err = self.detect_cached(capsys, path)
+        assert code == 1 and out == ""
+        message = "bounds field 'upper' is malformed: int too large to convert to float"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_integer_bounds_are_numbers(self):
         rec = _from_json({**self.MINIMAL, "lower": 1, "upper": 2})
         assert (type(rec.lower), type(rec.upper)) == (float, float)

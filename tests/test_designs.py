@@ -19,6 +19,7 @@ from twodesign import (
     verify_mub,
     verify_sic,
 )
+from twodesign.designs import _d4_triple
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -131,6 +132,19 @@ class TestTripleFamily:
     def test_parameter_range(self):
         with pytest.raises(ValueError):
             mub_triple_family_d4(4.0, 0.0, 0.0)
+
+    def test_batched_build_equals_each_point(self):
+        # the grid pass and the compass search build the family on batches
+        x = np.array([[0.0, np.pi / 2, np.pi], [0.3, np.pi, 1.1]])
+        y = np.array([[np.pi, 0.0, np.pi / 2], [2.2, 0.0, np.pi]])
+        z = np.array([[np.pi / 2, np.pi, 0.0], [np.pi, 1.7, 0.4]])
+        batch = _d4_triple(x, y, z)
+        assert batch.shape == (2, 3, 12, 4)
+        for idx in np.ndindex(2, 3):
+            want = mub_triple_family_d4(x[idx], y[idx], z[idx]).vectors
+            np.testing.assert_array_equal(batch[idx], want)
+            for part in (np.real, np.imag):  # signed zeros too
+                np.testing.assert_array_equal(np.signbit(part(batch[idx])), np.signbit(part(want)))
 
 
 class TestVerifyMub:
