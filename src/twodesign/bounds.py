@@ -188,6 +188,8 @@ class BoundRecord:
             )
         if not self.upper <= self.size + 1e-9:
             raise ValueError(f"upper bound {self.upper!r} exceeds design size {self.size}")
+        if not 0 <= self.restarts:
+            raise ValueError(f"restarts must be non-negative, got {self.restarts!r}")
 
 
 # -- batched alternating optimizer ---------------------------------------------

@@ -3,8 +3,9 @@
 All vectors and operators are plain numpy arrays (complex128); vectors are
 1-D, operators 2-D.  Bipartite indices follow the row-major convention
 (i, j) -> i*d + j everywhere, so ``kron`` and the partial operations are
-mutually consistent.  Everything here is a pure function on immutable
-inputs and is safe to share across threads.
+mutually consistent.  A state is accepted by one Cholesky factorization, exact
+checks decide every rejection, and everything here is a pure function on
+immutable inputs, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -152,23 +153,32 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
-def _check_densities(m: np.ndarray) -> None:
-    """Run :func:`validate_density`'s checks on a finite (n, D, D) stack.
+def _accepts(m: np.ndarray) -> bool:
+    """Whether one finite (D, D) matrix passes the fast test: ||m - m^H||_F (it bounds every
+    entry), the trace, and a Cholesky factorization of m + m^H - 2 PSD_FLOOR I, which exists
+    iff lambda_min((m + m^H)/2) > ``PSD_FLOOR`` (to rounding)."""
+    adj = m.conj().T
+    dev = m - adj
+    if not (np.vdot(dev, dev).real <= STRUCTURAL_TOL**2 and abs(m.trace() - 1.0) <= STRUCTURAL_TOL):
+        return False
+    h = m + adj
+    h.flat[:: len(h) + 1] -= 2 * PSD_FLOOR
+    try:
+        np.linalg.cholesky(h)
+        return True
+    except np.linalg.LinAlgError:
+        return False
 
-    The floor is one batched Cholesky factorization of m + m^H - 2 PSD_FLOOR I,
-    which exists iff lambda_min((m + m^H)/2) > ``PSD_FLOOR`` (to rounding).  Only if a
-    check fails are eigenvalues computed: the first failing matrix raises what
-    :func:`validate_density` raises for it alone.
-    """
+
+def _check_densities(m: np.ndarray) -> None:
+    """Run :func:`validate_density`'s checks on a finite (n, D, D) stack: it is valid if
+    every matrix passes :func:`_accepts`; else the exact checks (max-entry hermiticity,
+    trace, eigenvalues) make the first failing matrix raise what it raises alone."""
+    if all(map(_accepts, m)):
+        return
     adj = m.conj().swapaxes(1, 2)
-    tr_dev = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
-    if np.abs(m - adj).max() <= STRUCTURAL_TOL and tr_dev.max() <= STRUCTURAL_TOL:
-        try:
-            np.linalg.cholesky(m + adj - 2 * PSD_FLOOR * np.eye(m.shape[-1]))
-            return
-        except np.linalg.LinAlgError:
-            pass
     herm = np.abs(m - adj).max(axis=(-2, -1))
+    tr_dev = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
     fails = (herm > STRUCTURAL_TOL) | (tr_dev > STRUCTURAL_TOL) | (min_eig < PSD_FLOOR)
     bad = np.flatnonzero(fails)
@@ -186,7 +196,9 @@ def validate_density(matrix, local_dim: int) -> DensityMatrix:
 
     Non-finite entries raise ``ValueError``; then :class:`NotHermitianError`,
     :class:`NotUnitTraceError` or :class:`NotPositiveError`, each carrying the
-    measured violation.  Returns a read-only copy of ``matrix``.
+    measured violation.  A valid state passes :func:`_accepts`: plain 2-D work and one
+    Cholesky factorization; the exact checks of :func:`_check_densities` decide only
+    what that does not accept.  Returns a read-only copy of ``matrix``.
     """
     d = int(local_dim)
     m = _as_complex(np.array(matrix, dtype=complex))

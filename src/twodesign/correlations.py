@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityMatrix, DimensionMismatchError
+from .core import STRUCTURAL_TOL, DensityMatrix, DimensionMismatchError, _as_complex
 from .designs import Design
 
 
@@ -65,11 +65,14 @@ class CorrelationSpec:
 
 
 def coincidence_probability(rho: DensityMatrix, u, v) -> float:
-    """tr[(|u><u| x |v><v|) rho] for unit vectors u, v on each factor."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    """tr[(|u><u| x |v><v|) rho] for unit vectors u, v (norm 1 within ``STRUCTURAL_TOL``)."""
+    u, v = _as_complex(u), _as_complex(v)
     if u.shape != (rho.local_dim,) or v.shape != (rho.local_dim,):
         raise DimensionMismatchError("vector dimensions do not match the state")
+    for name, vec in (("u", u), ("v", v)):
+        norm = float(np.linalg.norm(vec))
+        if not abs(norm - 1.0) <= STRUCTURAL_TOL:
+            raise ValueError(f"{name} must be a unit vector, got norm {norm!r}")
     k = np.kron(u, v)
     return float(np.real(k.conj() @ rho.matrix @ k))
 

@@ -19,6 +19,7 @@ from .core import (
     DimensionMismatchError,
     NotHermitianError,
     ParameterOutOfRangeError,
+    _as_complex,
     _check_tol,
     max_entangled_state,
     symmetry_projectors,
@@ -131,11 +132,11 @@ def spa_witness(d: int) -> tuple[np.ndarray, float]:
 
 def witness_expectation(w: np.ndarray, rho: DensityMatrix) -> float:
     """tr[W rho] for a Hermitian operator W."""
-    w = np.asarray(w, dtype=complex)
+    w = _as_complex(w)  # a non-finite entry fails here, not in w - w^H below
     if w.shape != rho.matrix.shape:
         raise DimensionMismatchError(f"operator shape {w.shape} vs state {rho.matrix.shape}")
     herm = float(np.abs(w - w.conj().T).max())
-    if herm > 1e-10:
+    if not herm <= 1e-10:
         raise NotHermitianError(herm)
     return float(np.vdot(w, rho.matrix).real)
 

@@ -34,7 +34,7 @@ from .bounds import (
     separable_upper_bound,
     subset_bound_spectrum,
 )
-from .core import DimensionMismatchError, _check_densities, _check_tol
+from .core import DimensionMismatchError, _check_tol, validate_density
 from .correlations import CorrelationSpec
 from .designs import mub_triple_family_d4, sic_povm, standard_mubs
 from .states import _check_bounds_match, _classify, _family_matrices
@@ -318,7 +318,8 @@ def _family_line(family: str, d: int, spec: CorrelationSpec) -> tuple[float, flo
     a convex combination of them, hence a state too.
     """
     ends = _family_matrices(family, d, [0.0, 1.0])
-    _check_densities(ends)
+    for end in ends:
+        validate_density(end, d)
     at0, at1 = np.einsum("ij,nij->n", spec.witness.conj(), ends).real.tolist()
     return at0, at1
 

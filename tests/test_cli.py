@@ -438,6 +438,12 @@ class TestBoundsFile:
         assert payload["message"].startswith(f"bounds field {key!r} is malformed: ")
         assert why in payload["message"]
 
+    def test_negative_restarts_are_rejected(self, capsys, tmp_path):
+        code, out, err = self.detect_with_edited_field(capsys, tmp_path, "restarts", lambda rec: -5)
+        assert code == 1 and out == ""
+        message = "restarts must be non-negative, got -5"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_integer_too_large_for_a_float_names_its_field(self, capsys, tmp_path):
         path = tmp_path / "bounds.json"
         text = json.dumps({**self.MINIMAL, "upper": 0})

@@ -23,10 +23,13 @@ from twodesign import (
     werner_state,
 )
 from twodesign.core import (
+    PSD_FLOOR,
+    STRUCTURAL_TOL,
     _check_densities,
     density_from_json_obj,
     density_to_json_obj,
     random_bipartite_density,
+    random_density,
     random_state_vector,
 )
 
@@ -318,6 +321,125 @@ class TestEigenvaluesOnlyForFailures:
         with pytest.raises(ValueError) as err:
             validate_density(m, 2)
         assert type(err.value) is ValueError and str(err.value) == "non-finite entries"
+
+
+def _reference_outcome(matrix, d):
+    """What validation must decide, from max-entry checks and ``eigvalsh`` alone."""
+    m = np.array(matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        return ValueError, None
+    if m.shape != (d * d, d * d):
+        return DimensionMismatchError, None
+    adj = m.conj().T
+    herm = np.abs(m - adj).max()
+    if herm > STRUCTURAL_TOL:
+        return NotHermitianError, herm
+    tr_dev = abs(np.trace(m) - 1.0)
+    if tr_dev > STRUCTURAL_TOL:
+        return NotUnitTraceError, tr_dev
+    min_eig = np.linalg.eigvalsh((m + adj) / 2)[0]
+    if min_eig < PSD_FLOOR:
+        return NotPositiveError, -min_eig
+    return None, None
+
+
+def _outcome(matrix, d):
+    try:
+        validate_density(matrix, d)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "violation", None)
+    return None, None
+
+
+def _boundary_battery(d, rng, per_kind=12):
+    """Seeded (kind, matrix) pairs at and across each threshold of validation."""
+    n = d * d
+
+    def rotated(spectrum):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        m = (u * spectrum) @ u.conj().T
+        return (m + m.conj().T) / 2
+
+    cases = []
+    for _ in range(per_kind):
+        cases.append(("valid", random_density(n, rng)))
+        cases.append(("rank-deficient", random_density(n, rng, rank=int(rng.integers(1, n)))))
+        # every entry above the diagonal off by 0.3e-10 to 0.9e-10 or 1.5e-10, in a
+        # random phase: the max-entry and Frobenius tests disagree on most of them
+        m = random_density(n, rng)
+        upper = np.triu_indices(n, 1)
+        size = len(upper[0])
+        error = rng.uniform(0.3e-10, rng.choice([0.9e-10, 1.5e-10]), size)
+        m[upper] += error * np.exp(2j * np.pi * rng.uniform(size=size))
+        cases.append(("hermiticity", m))
+        trace = 1 + rng.choice([-2e-10, -0.5e-10, 0.5e-10, 2e-10])
+        cases.append(("trace", rotated(rng.dirichlet(np.ones(n)) * trace)))
+        floor = PSD_FLOOR + rng.choice([-3e-12, 3e-12])
+        rest = rng.dirichlet(np.ones(n - 1)) * (1 - floor)
+        cases.append(("floor", rotated(np.concatenate([[floor], rest]))))
+        m = random_density(n, rng)
+        m[tuple(rng.integers(0, n, 2))] = rng.choice([np.nan, np.inf, -np.inf, complex(0, np.nan)])
+        cases.append(("non-finite", m))
+        wrong = np.eye(n + 1, dtype=complex) / (n + 1)
+        cases.append(("wrong shape", wrong))
+        wrong = wrong.copy()
+        wrong[0, -1] = np.nan
+        cases.append(("wrong shape and NaN", wrong))
+    return cases
+
+
+class TestFastAcceptance:
+    """A valid state is accepted with one Cholesky factorization; the decision
+    on every matrix is the one max-entry checks and eigenvalues give."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_decisions_match_the_exact_reference(self, d):
+        rng = np.random.default_rng(3000 + d)
+        seen = set()
+        for kind, m in _boundary_battery(d, rng):
+            want = _reference_outcome(m, d)
+            assert _outcome(m, d) == want, kind
+            if kind == "hermiticity" and want[0] is None:
+                assert np.linalg.norm(m - m.conj().T) > STRUCTURAL_TOL
+            seen.add((kind, want[0]))
+        # each threshold is crossed both ways, and the hermiticity cases include
+        # matrices that pass the entry test but not the Frobenius one
+        for kind, outcome in [("valid", None), ("rank-deficient", None),
+                              ("hermiticity", None), ("hermiticity", NotHermitianError),
+                              ("trace", None), ("trace", NotUnitTraceError),
+                              ("floor", None), ("floor", NotPositiveError),
+                              ("non-finite", ValueError), ("wrong shape", DimensionMismatchError),
+                              ("wrong shape and NaN", ValueError)]:
+            assert (kind, outcome) in seen
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_valid_state_costs_one_cholesky_and_no_eigenvalues(self, monkeypatch, rng, d):
+        # full rank, rank one, and lambda_min = 0.9 PSD_FLOOR, which factors only when shifted
+        near_floor = TestDenseValidationThresholds.deviated(NotPositiveError, 0.9, d, rng)
+        states = [random_density(d * d, rng), random_density(d * d, rng, rank=1), near_floor]
+        calls = self.counting(monkeypatch)
+        for m in states:
+            validate_density(m, d)
+        assert calls == {"cholesky": len(states), "eigvalsh": 0}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_state_below_the_floor_costs_one_cholesky_and_one_eigvalsh(self, monkeypatch, d):
+        bad = np.diag([1.1] + [0.0] * (d * d - 2) + [-0.1]).astype(complex)
+        calls = self.counting(monkeypatch)
+        with pytest.raises(NotPositiveError):
+            validate_density(bad, d)
+        assert calls == {"cholesky": 1, "eigvalsh": 1}
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Correlation sums, witness operators, and the device-independent conversion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ class TestCoincidenceProbability:
         rho = validate_density(np.eye(4) / 4, 2)
         with pytest.raises(DimensionMismatchError):
             coincidence_probability(rho, random_state_vector(3, rng), random_state_vector(3, rng))
+
+    @pytest.mark.parametrize("u, v, message", [
+        ([np.nan, 0], [1, 0], "non-finite entries"),
+        ([1, 0], [0, np.inf], "non-finite entries"),
+        ([2, 0], [1, 0], "u must be a unit vector, got norm 2.0"),
+        ([1, 0], [0, 1 + 1e-9], "v must be a unit vector"),
+    ], ids=["u NaN", "v inf", "u norm 2", "v norm 1 + 1e-9"])
+    def test_rejects_non_finite_and_non_unit_vectors(self, u, v, message):
+        rho = validate_density(np.eye(4) / 4, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            coincidence_probability(rho, u, v)
 
 
 class TestCorrelationSums:

@@ -350,7 +350,12 @@ class TestScanFamily:
     (lambda: spa_witness(1), ValueError, "need d >= 2"),
     (lambda: witness_expectation(np.eye(9), werner_state(2, 0.5)), DimensionMismatchError,
      "operator shape (9, 9) vs state (4, 4)"),
-], ids=["unknown family", "unknown kind", "witness d=1", "witness shape"])
+    (lambda: witness_expectation(np.diag([np.nan, 1, 1, 1]), werner_state(2, 0.5)), ValueError,
+     "non-finite entries"),
+    (lambda: witness_expectation(np.diag([np.inf, 1, 1, 1]), werner_state(2, 0.5)), ValueError,
+     "non-finite entries"),
+], ids=["unknown family", "unknown kind", "witness d=1", "witness shape", "witness NaN",
+        "witness inf"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
