@@ -44,14 +44,13 @@ from .correlations import (
     mdi_conversion,
 )
 from .bounds import (
+    BoundEnd,
     BoundRecord,
     EnumerationCapExceededError,
     FamilyScanResult,
-    LowerBoundResult,
     OptimizerOptions,
     ProductState,
     SubsetSpectrum,
-    UpperBoundResult,
     closed_form_mub_upper,
     compute_bound_record,
     d4_family_scan,

@@ -18,7 +18,8 @@ alone.  The batch stops ``stationary`` when none is active, or ``max_sweeps``
 when one still improves after ``OptimizerOptions.max_sweeps``.  A restart
 whose gain has stopped shrinking also takes Newton steps
 (:func:`_newton_step`), at both ends.  Both bounds make one kernel call
-through one multistart driver and report its best restart.
+through one multistart driver, which returns its best restart as a
+:class:`BoundEnd`.
 
 The upper bound equals the maximum of ``F(e) = sum_v |<v|e>|^4``
 (arithmetic-geometric mean argument).  The kernel, maximizing and started
@@ -29,12 +30,12 @@ may start (sweep ``_NEWTON_AFTER``).  The maximum is also
 proved from above: F(e) is ``<e e|Q|e e>`` with ``Q = sum_v (|v><v|)^(x2)``,
 so no product state exceeds the level-2 eigenvalue
 ``lambda = lambda_max(P_sym Q P_sym)`` (Doherty & Wehner, arXiv:1210.5048),
-the result's ``certificate``.  Once the best active restart comes within
+the ceiling's ``certificate``.  Once the best active restart comes within
 ``CERTIFY_WINDOW`` of lambda, a Gauss-Newton step from its f on the
 residual ``R^(1/2) (e x e)``, ``R = lambda P_sym - P_sym Q P_sym`` (whose
 zeros are exactly the maximizers when lambda is attained), tries to reach
 lambda; success is the kernel's one early stop.  Each upper bound names why it
-stopped: ``certified`` (the maximizer reaches lambda within
+stopped: ``certified`` (its state reaches lambda within
 ``CERTIFY_TOL``), ``stationary`` or ``max_sweeps``; only the last counts as
 not converged.
 
@@ -130,33 +131,19 @@ class ProductState:
 
 
 @dataclass(frozen=True)
-class LowerBoundResult:
-    """``value`` is the objective re-evaluated at ``minimizer``.  ``stop_reason``
-    is ``stationary`` (every restart retired) or ``max_sweeps``."""
+class BoundEnd:
+    """One end of the separable range: ``value`` is the objective re-evaluated
+    at the product state ``state`` (e = f on the ceiling).  ``stop_reason`` is
+    ``certified``, ``stationary`` (every restart retired) or ``max_sweeps``.
+    ``certificate`` is ``None`` on the floor; on the ceiling no product state
+    exceeds it (the level-2 lambda)."""
 
     value: float
-    minimizer: ProductState
+    state: ProductState
     stop_reason: str
     restarts: int
     sweeps: int
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason != "max_sweeps"
-
-
-@dataclass(frozen=True)
-class UpperBoundResult:
-    """``value`` is the objective re-evaluated at ``maximizer``; no product
-    state exceeds ``certificate``.  ``stop_reason`` is ``certified``,
-    ``stationary`` or ``max_sweeps``."""
-
-    value: float
-    maximizer: np.ndarray
-    certificate: float
-    stop_reason: str
-    restarts: int
-    sweeps: int
+    certificate: float | None
 
     @property
     def converged(self) -> bool:
@@ -404,8 +391,8 @@ def _canonical_vector(vec: np.ndarray) -> np.ndarray:
 
 def _multistart(v: np.ndarray, opts: OptimizerOptions, *, minimize: bool, certify=None):
     """One kernel call on the design vectors ``v`` from ``opts``' seeded starts,
-    random e and f when minimizing, f = e when maximizing.  Returns the best
-    restart's phase-canonical (e, f), stop reason, restarts and sweeps used."""
+    random e and f when minimizing, f = e when maximizing, as a :class:`BoundEnd` at the best
+    restart's phase-canonical (e, f) ((f, f) when maximizing) or at a maximizer ``certify`` proved."""
     restarts = opts.restarts_for(v.shape[1])
     rng = np.random.default_rng(opts.seed)
     e0 = _random_unit(rng, (restarts, v.shape[1]))
@@ -415,12 +402,17 @@ def _multistart(v: np.ndarray, opts: OptimizerOptions, *, minimize: bool, certif
     )
     best = int(np.argmin(obj) if minimize else np.argmax(obj))
     stop_reason = "stationary" if stationary.all() else "max_sweeps"
-    return _canonical_vector(np.stack([e[best], f[best]])), stop_reason, restarts, int(used.max())
+    state = ProductState(*_canonical_vector(np.stack([e[best] if minimize else f[best], f[best]])))
+    if certify is not None and certify.maximizer is not None:
+        stop_reason, state = "certified", ProductState(certify.maximizer, certify.maximizer)
+    return BoundEnd(
+        value=_product_value(v, state.e, state.f), state=state, stop_reason=stop_reason,
+        restarts=restarts, sweeps=int(used.max()),
+        certificate=None if certify is None else certify.value,
+    )
 
 
-def separable_lower_bound(
-    design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS
-) -> LowerBoundResult:
+def separable_lower_bound(design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS) -> BoundEnd:
     """Minimize the correlation sum over product states |e> x |f>.
 
     Alternating exact eigenvector updates (each half-step solves its
@@ -430,41 +422,20 @@ def separable_lower_bound(
     makes the stop reason ``max_sweeps`` (``converged`` false), which is
     reported, never raised.
     """
-    v = design.vectors
-    (e_b, f_b), stop_reason, restarts, sweeps = _multistart(v, opts, minimize=True)
-    return LowerBoundResult(
-        value=_product_value(v, e_b, f_b),
-        minimizer=ProductState(e_b, f_b),
-        stop_reason=stop_reason,
-        restarts=restarts,
-        sweeps=sweeps,
-    )
+    return _multistart(design.vectors, opts, minimize=True)
 
 
-def separable_upper_bound(
-    design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS
-) -> UpperBoundResult:
+def separable_upper_bound(design: Design, opts: OptimizerOptions = DEFAULT_OPTIONS) -> BoundEnd:
     """Maximize the correlation sum over product states, proved by lambda.
 
     Runs the kernel from e = f (on ``sum_v |<v|e>|^4``, which the product-state
     maximum equals by the mean inequality) until the certificate step reaches
     the level-2 eigenvalue, every restart is stationary, or
     ``opts.max_sweeps`` is spent; the latter two report the f of the best
-    restart.
+    restart as the state f x f.
     """
     v = design.vectors
-    cert = _Level2Certificate(v)
-    (_, e_b), stop_reason, restarts, sweeps = _multistart(v, opts, minimize=False, certify=cert)
-    if cert.maximizer is not None:
-        stop_reason, e_b = "certified", cert.maximizer
-    return UpperBoundResult(
-        value=_product_value(v, e_b, e_b),
-        maximizer=e_b,
-        certificate=cert.value,
-        stop_reason=stop_reason,
-        restarts=restarts,
-        sweeps=sweeps,
-    )
+    return _multistart(v, opts, minimize=False, certify=_Level2Certificate(v))
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -496,18 +467,11 @@ def compute_bound_record(
     lo = separable_lower_bound(design, opts)
     up = separable_upper_bound(design, opts)
     return BoundRecord(
-        design_kind=design.kind,
-        dim=design.dim,
-        size=design.count,
+        design_kind=design.kind, dim=design.dim, size=design.count,
         subset_or_params=label if label is not None else design.provenance,
-        lower=lo.value,
-        upper=up.value,
-        argmin=lo.minimizer,
-        argmax=up.maximizer,
-        restarts=lo.restarts,
-        converged=lo.converged and up.converged,
-        provenance=design.provenance,
-        indices=design.indices,
+        lower=lo.value, upper=up.value, argmin=lo.state, argmax=up.state.e,
+        restarts=lo.restarts, converged=lo.converged and up.converged,
+        provenance=design.provenance, indices=design.indices,
     )
 
 
@@ -623,7 +587,7 @@ def subset_bound_spectrum(
     per distinct vector set), so both optimizers run only on the first
     subset of each orbit, in lexicographic order, with the seed of its index
     k: the k-th child that ``spawn`` would give ``opts.seed``, made without
-    spawning.  Every other subset gets that record's minimizer and maximizer
+    spawning.  Every other subset gets that record's ``argmin`` and ``argmax``
     moved by the symmetry, all in one batched product, with ``lower`` and
     ``upper`` re-evaluated on its own vectors.
     """

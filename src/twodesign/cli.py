@@ -22,6 +22,7 @@ from .bounds import (
     BoundRecord,
     OptimizerOptions,
     ProductState,
+    _product_value,
     compute_bound_record,
     d4_family_scan,
     design_closed_bounds,
@@ -37,7 +38,7 @@ from .designs import (
     verify_mub,
     verify_sic,
 )
-from .states import SymmetricStateSpec, detect, symmetric_state
+from .states import SymmetricStateSpec, _check_bounds_match, detect, symmetric_state
 from .tables import TABLE_IDS, reproduce_table, scan_family
 
 
@@ -204,6 +205,24 @@ def _closed_form_record(spec: CorrelationSpec) -> BoundRecord:
                        argmin=None, argmax=None, restarts=0, converged=True)
 
 
+def _check_own_states(path, record: BoundRecord, vectors: np.ndarray) -> None:
+    """Raise unless the objective at the file's ``argmin`` and ``argmax`` lies within its bounds.
+
+    The file rounds bounds and states to six significant digits, and honest
+    files miss in the refuting direction by up to 4.1e-6 (the ceiling of sic
+    d = 4, m = 9), so a state refutes its bound only beyond 1e-5 * max(1, |bound|).
+    """
+    top = record.argmax
+    ends = [("argmin", "lower", 1.0, record.argmin),
+            ("argmax", "upper", -1.0, None if top is None else ProductState(top, top))]
+    for name, end, sign, state in ends:
+        if state is not None:
+            bound, reached = getattr(record, end), _product_value(vectors, state.e, state.f)
+            if sign * (bound - reached) > 1e-5 * max(1.0, abs(bound)):
+                raise ValueError(f"{path}: the file's {name} reaches {reached:.6g}, "
+                                 f"beyond its {end} bound {bound:.6g}")
+
+
 def _spec_and_bounds(args, family) -> tuple[CorrelationSpec, BoundRecord]:
     """The spec and bound record that ``detect`` and ``scan`` test a ``family`` state against."""
     spec = CorrelationSpec(_resolve_design(args),
@@ -217,7 +236,10 @@ def _spec_and_bounds(args, family) -> tuple[CorrelationSpec, BoundRecord]:
     if args.bounds == "cached":
         if not args.bounds_file:
             raise ValueError("--bounds cached requires --bounds-file")
-        return spec, _load(args.bounds_file, _from_json)
+        record = _load(args.bounds_file, _from_json)
+        _check_bounds_match(spec, record)
+        _check_own_states(args.bounds_file, record, spec.design.vectors)
+        return spec, record
     return spec, compute_bound_record(spec.design, _options(args))
 
 

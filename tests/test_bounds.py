@@ -21,9 +21,11 @@ from twodesign import (
     standard_mubs,
     subset_bound_spectrum,
 )
+import twodesign
 from twodesign import bounds
 from twodesign.bounds import (
     SUBSET_CAP,
+    BoundEnd,
     BoundRecord,
     ProductState,
     _cube,
@@ -69,6 +71,35 @@ class TestRecordTypes:
             BoundRecord("mub", 2, 3, "", lower, upper, None, None, restarts=0, converged=True)
 
 
+#: Designs whose floor and ceiling are checked as :class:`BoundEnd` records; the
+#: complete d = 3 MUB set's ceiling stops ``certified``.
+BOUND_END_DESIGNS = {
+    "mub-d2-pair": standard_mubs(2).subset([0, 1]),
+    "sic-d3-1234": sic_povm(3).subset([0, 1, 2, 3]),
+    "mub-d4-m3": standard_mubs(4).subset(range(3)),
+    "mub-d3-complete": standard_mubs(3),
+}
+
+
+class TestBoundEnd:
+    @pytest.mark.parametrize("name", list(BOUND_END_DESIGNS))
+    def test_both_ends_are_bound_ends_at_their_states(self, name):
+        design = BOUND_END_DESIGNS[name]
+        floor, ceiling = separable_lower_bound(design, OPTS), separable_upper_bound(design, OPTS)
+        for end in (floor, ceiling):
+            assert type(end) is BoundEnd
+            assert end.value == bounds._product_value(design.vectors, end.state.e, end.state.f)
+        np.testing.assert_array_equal(ceiling.state.e, ceiling.state.f)
+        assert floor.certificate is None
+        assert ceiling.certificate >= ceiling.value - bounds.CERTIFY_TOL
+        if name == "mub-d3-complete":
+            assert ceiling.stop_reason == "certified"  # the state is the certificate's maximizer
+
+    @pytest.mark.parametrize("name", ["LowerBoundResult", "UpperBoundResult"])
+    def test_per_end_result_types_are_gone(self, name):
+        assert not hasattr(twodesign, name) and not hasattr(bounds, name)
+
+
 class TestLowerBound:
     def test_d2_pair(self):
         res = separable_lower_bound(standard_mubs(2).subset([0, 1]), OPTS)
@@ -92,8 +123,8 @@ class TestLowerBound:
     def test_minimizer_is_feasible_and_achieves_value(self):
         design = sic_povm(3).subset([0, 1, 2, 3, 4, 6])
         res = separable_lower_bound(design, OPTS)
-        assert abs(np.linalg.norm(res.minimizer.e) - 1) < 1e-12
-        assert abs(objective(design, res.minimizer.e, res.minimizer.f) - res.value) < 1e-12
+        assert abs(np.linalg.norm(res.state.e) - 1) < 1e-12
+        assert abs(objective(design, res.state.e, res.state.f) - res.value) < 1e-12
 
 
 class TestUpperBound:
@@ -153,7 +184,7 @@ class TestUpperStopReasons:
             name = design.provenance
             assert res.stop_reason == "certified" and res.converged, name
             assert abs(res.value - res.certificate) <= 1e-12, name
-            assert abs(objective(design, res.maximizer, res.maximizer) - res.value) <= 1e-12, name
+            assert abs(objective(design, res.state.e, res.state.e) - res.value) <= 1e-12, name
             assert res.sweeps < 100, name
 
     def test_loose_certificate_stops_stationary(self):
@@ -219,7 +250,7 @@ class TestUpperStopReasons:
         res = separable_upper_bound(design, OPTS)
         assert res.stop_reason == "stationary" and res.converged
         assert abs(res.value - 1.5) < 1e-12
-        assert abs(objective(design, res.maximizer, res.maximizer) - res.value) < 1e-12
+        assert abs(objective(design, res.state.e, res.state.e) - res.value) < 1e-12
 
 
 class TestLowerStopReasons:
@@ -277,7 +308,7 @@ class TestLowerStopReasons:
         design = mub_triple_family_d4(np.pi / 2, np.pi / 2, np.pi / 2)
         res = separable_lower_bound(design, OPTS)
         assert abs(res.value - 0.25) <= 1e-12
-        assert abs(objective(design, res.minimizer.e, res.minimizer.f) - res.value) <= 1e-12
+        assert abs(objective(design, res.state.e, res.state.f) - res.value) <= 1e-12
 
     def test_symmetric_triple_floor_stops_stationary(self):
         # the flat minimum's first-order tail is finished by Newton steps
@@ -601,7 +632,7 @@ class TestPublishedTableDefects:
     def test_hesse_four_leading_subset_beats_printed_minimum_split(self):
         design = sic_povm(3).subset([0, 1, 2, 3])
         res = separable_upper_bound(design, OPTS)
-        achieved = objective(design, res.maximizer, res.maximizer)
+        achieved = objective(design, res.state.e, res.state.e)
         assert achieved > 1.2926  # printed split value is 1.25414
         assert abs(res.value - 1.29270) < 5e-5
 
@@ -609,11 +640,11 @@ class TestPublishedTableDefects:
         sic = sic_povm(4)
         opts = OptimizerOptions(seed=0, restarts=128)
         up5 = separable_upper_bound(sic.subset(range(5)), opts)
-        achieved = objective(sic.subset(range(5)), up5.maximizer, up5.maximizer)
+        achieved = objective(sic.subset(range(5)), up5.state.e, up5.state.e)
         assert achieved > 1.3850  # printed 1.3766
         for size, printed, true_floor in ((7, 0.0067, 0.0013), (8, 0.0279, 0.0148), (10, 0.0693, 0.0591)):
             lo = separable_lower_bound(sic.subset(range(size)), opts)
-            achieved = objective(sic.subset(range(size)), lo.minimizer.e, lo.minimizer.f)
+            achieved = objective(sic.subset(range(size)), lo.state.e, lo.state.f)
             assert achieved < printed - 1e-3
             assert abs(lo.value - true_floor) < 5e-4
 
@@ -667,12 +698,12 @@ class TestOptimizerProperties:
         a = separable_lower_bound(design, OptimizerOptions(seed=7))
         b = separable_lower_bound(design, OptimizerOptions(seed=7))
         assert a.value == b.value
-        np.testing.assert_array_equal(a.minimizer.e, b.minimizer.e)
-        np.testing.assert_array_equal(a.minimizer.f, b.minimizer.f)
+        np.testing.assert_array_equal(a.state.e, b.state.e)
+        np.testing.assert_array_equal(a.state.f, b.state.f)
         ua = separable_upper_bound(design, OptimizerOptions(seed=7))
         ub = separable_upper_bound(design, OptimizerOptions(seed=7))
         assert ua.value == ub.value
-        np.testing.assert_array_equal(ua.maximizer, ub.maximizer)
+        np.testing.assert_array_equal(ua.state.e, ub.state.e)
 
     def test_conjugation_invariance(self, rng):
         # f -> conj(f) maps the conjugated witness's product values onto the
@@ -680,7 +711,7 @@ class TestOptimizerProperties:
         for design in (standard_mubs(3).subset(range(2)), sic_povm(3).subset(range(6))):
             res = separable_lower_bound(design, OPTS)
             w = CorrelationSpec(design, conjugate_second=True).witness
-            k = np.kron(res.minimizer.e, res.minimizer.f.conj())
+            k = np.kron(res.state.e, res.state.f.conj())
             assert abs(np.vdot(k, w @ k).real - res.value) < 1e-12
             e, f = _random_unit(rng, (2, 500, 3))
             k = (e[:, :, None] * f[:, None, :]).reshape(500, 9)

@@ -457,6 +457,65 @@ class TestBoundsFile:
         rec = _from_json({**self.MINIMAL, "lower": 1, "upper": 2})
         assert (type(rec.lower), type(rec.upper)) == (float, float)
 
+    @pytest.mark.parametrize("key, value, name", [("lower", 0.6, "argmin"),
+                                                   ("upper", 1.4, "argmax")])
+    def test_bound_refuted_by_its_own_state_is_rejected(self, capsys, tmp_path, key, value, name):
+        # the d=2 MUB pair's argmin reaches 0.5 and its argmax 1.5
+        code, out, err = self.detect_with_edited_field(capsys, tmp_path, key, lambda rec: value)
+        assert code == 1 and out == ""
+        message = f"{tmp_path / 'bounds.json'}: the file's {name} reaches "
+        message += f"{0.5 if key == 'lower' else 1.5}, beyond its {key} bound {value}"
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    def test_product_state_is_not_flagged_by_a_refuted_file(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "bounds", "--design", "mub", "--d", "2", "--m", "2")
+        assert code == 0
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({**json.loads(out), "lower": 0.9, "upper": 1.2}))
+        state_path = tmp_path / "product.json"  # |0>|1>, whose correlation sum is 0.5
+        save_density(state_path, validate_density(np.diag([0.0, 1.0, 0.0, 0.0]), 2))
+        code, out, err = run_cli(capsys, "detect", "--state-file", str(state_path),
+                                 "--design", "mub", "--d", "2", "--m", "2",
+                                 "--bounds", "cached", "--bounds-file", str(path))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{path}: the file's argmin reaches 0.5, beyond")
+
+    @pytest.mark.parametrize("design", [("mub", "3", "2"), ("sic", "2", "3")],
+                             ids=["mub-d3-m2", "sic-d2-m3"])
+    def test_rounded_honest_file_gives_the_recomputed_verdict(self, capsys, tmp_path, design):
+        # these files' states miss their ceilings by 3.3e-6 after rounding to six digits
+        kind, d, m = design
+        argv = ["--design", kind, "--d", d, "--m", m]
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        path = tmp_path / "bounds.json"
+        path.write_text(out)
+        detect = ["detect", "--state", "werner", "--param", "0.2", *argv, "--bounds"]
+        code, cached, _ = run_cli(capsys, *detect, "cached", "--bounds-file", str(path))
+        assert code == 0
+        code, recomputed, _ = run_cli(capsys, *detect, "recompute")
+        assert code == 0
+        cached, recomputed = json.loads(cached), json.loads(recomputed)
+        assert cached.pop("bounds_source") == "cached"
+        assert recomputed.pop("bounds_source") == "recompute"
+        assert cached == recomputed
+
+    def test_foreign_file_is_a_design_mismatch_before_its_states_are_checked(
+        self, capsys, tmp_path
+    ):
+        # subset (1,2,3)'s argmax reaches 1.187 on subset (1,3,4), above the file's 1.125
+        code, out, _ = run_cli(capsys, "bounds", "--design", "sic", "--d", "3", "--subset", "1,2,3")
+        assert code == 0
+        path = tmp_path / "bounds.json"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, "detect", "--state", "werner", "--param", "0.0",
+                                 "--design", "sic", "--d", "3", "--subset", "1,3,4",
+                                 "--bounds", "cached", "--bounds-file", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "DesignMismatchError"
+
     def test_top_level_must_be_an_object(self, capsys, tmp_path):
         path = tmp_path / "bounds.json"
         path.write_text(json.dumps([self.MINIMAL]))
@@ -647,7 +706,7 @@ class TestDetectCommand:
         # product-state minimizer of subset (1,2,3,4,5,6), far below the
         # floor of subset (1,2,3,4,5,7)
         low = separable_lower_bound(sic_povm(3).subset(range(6)), OptimizerOptions(seed=0))
-        k = np.kron(low.minimizer.e, low.minimizer.f)
+        k = np.kron(low.state.e, low.state.f)
         state_path = tmp_path / "product.json"
         save_density(state_path, validate_density(np.outer(k, k.conj()), 3))
         args = ("detect", "--state-file", str(state_path), "--design", "sic", "--d", "3",

@@ -203,7 +203,7 @@ class TestDetect:
         assert record.provenance == "explicit[1,2,3,4,5,7]"
         other = sic.subset(range(6))
         low = separable_lower_bound(other, OPTS)
-        k = np.kron(low.minimizer.e, low.minimizer.f)
+        k = np.kron(low.state.e, low.state.f)
         rho = validate_density(np.outer(k, k.conj()), 3)
         with pytest.raises(DesignMismatchError):
             detect(rho, CorrelationSpec(other), record)
