@@ -3,8 +3,8 @@
 All vectors and operators are plain numpy arrays (complex128); vectors are
 1-D, operators 2-D.  Bipartite indices follow the row-major convention
 (i, j) -> i*d + j everywhere, so ``kron`` and the partial operations are
-mutually consistent.  A state is accepted by one Cholesky factorization, exact
-checks decide every rejection, and everything here is a pure function on
+mutually consistent.  One Cholesky factorization accepts a valid state, exact
+checks run only on what it rejects, and everything here is a pure function on
 immutable inputs, safe to share across threads.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,8 @@ class DensityMatrix:
 
 def _as_complex(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if not np.isfinite(m).all():
+    # sum |m_ij|^2 is finite iff every entry is, unless it overflows
+    if not (np.vdot(m, m).real < np.inf or np.isfinite(m).all()):
         raise ValueError("non-finite entries")
     return m
 
@@ -157,12 +159,12 @@ def _accepts(m: np.ndarray) -> bool:
     """Whether one finite (D, D) matrix passes the fast test: ||m - m^H||_F (it bounds every
     entry), the trace, and a Cholesky factorization of m + m^H - 2 PSD_FLOOR I, which exists
     iff lambda_min((m + m^H)/2) > ``PSD_FLOOR`` (to rounding)."""
-    adj = m.conj().T
+    adj = np.ascontiguousarray(m.conj().T, dtype=complex)  # h is complex even for a real m
     dev = m - adj
     if not (np.vdot(dev, dev).real <= STRUCTURAL_TOL**2 and abs(m.trace() - 1.0) <= STRUCTURAL_TOL):
         return False
     h = m + adj
-    h.flat[:: len(h) + 1] -= 2 * PSD_FLOOR
+    h += _floor_shift(len(h))  # one shared array per size, never written
     try:
         np.linalg.cholesky(h)
         return True
@@ -170,25 +172,30 @@ def _accepts(m: np.ndarray) -> bool:
         return False
 
 
+@cache
+def _floor_shift(n: int) -> np.ndarray:
+    return np.eye(n, dtype=complex) * (-2 * PSD_FLOOR)
+
+
 def _check_densities(m: np.ndarray) -> None:
-    """Run :func:`validate_density`'s checks on a finite (n, D, D) stack: it is valid if
-    every matrix passes :func:`_accepts`; else the exact checks (max-entry hermiticity,
-    trace, eigenvalues) make the first failing matrix raise what it raises alone."""
-    if all(map(_accepts, m)):
-        return
+    """:func:`validate_density`'s checks on a finite (n, D, D) stack; the first invalid raises."""
+    if not all(map(_accepts, m)):
+        _exact_checks(m)
+
+
+def _exact_checks(m: np.ndarray) -> None:
+    """Max-entry hermiticity, trace and eigenvalues of a stack; the first failure raises."""
     adj = m.conj().swapaxes(1, 2)
     herm = np.abs(m - adj).max(axis=(-2, -1))
     tr_dev = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
-    fails = (herm > STRUCTURAL_TOL) | (tr_dev > STRUCTURAL_TOL) | (min_eig < PSD_FLOOR)
-    bad = np.flatnonzero(fails)
-    if bad.size:
-        i = bad[0]
-        if herm[i] > STRUCTURAL_TOL:
-            raise NotHermitianError(herm[i])
-        if tr_dev[i] > STRUCTURAL_TOL:
-            raise NotUnitTraceError(tr_dev[i])
-        raise NotPositiveError(-min_eig[i])
+    for herm_i, tr_dev_i, min_eig_i in zip(herm, tr_dev, min_eig):
+        if herm_i > STRUCTURAL_TOL:
+            raise NotHermitianError(herm_i)
+        if tr_dev_i > STRUCTURAL_TOL:
+            raise NotUnitTraceError(tr_dev_i)
+        if min_eig_i < PSD_FLOOR:
+            raise NotPositiveError(-min_eig_i)
 
 
 def validate_density(matrix, local_dim: int) -> DensityMatrix:
@@ -196,15 +203,15 @@ def validate_density(matrix, local_dim: int) -> DensityMatrix:
 
     Non-finite entries raise ``ValueError``; then :class:`NotHermitianError`,
     :class:`NotUnitTraceError` or :class:`NotPositiveError`, each carrying the
-    measured violation.  A valid state passes :func:`_accepts`: plain 2-D work and one
-    Cholesky factorization; the exact checks of :func:`_check_densities` decide only
-    what that does not accept.  Returns a read-only copy of ``matrix``.
+    measured violation.  :func:`_accepts` passes a valid state (2-D work, one Cholesky
+    factorization), :func:`_exact_checks` decide the rest.  Returns a read-only copy.
     """
     d = int(local_dim)
     m = _as_complex(np.array(matrix, dtype=complex))
     if m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape}")
-    _check_densities(m[None])
+    if not _accepts(m):
+        _exact_checks(m[None])
     m.setflags(write=False)
     return DensityMatrix(local_dim=d, matrix=m)
 

@@ -54,14 +54,14 @@ class CorrelationSpec:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def _descriptor(self) -> dict:
+        return {"kind": self.kind, "dim": self.dim, "size": self.size,
+                "provenance": self.design.provenance, "conjugate_second": self.conjugate_second}
+
     def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "size": self.size,
-            "provenance": self.design.provenance,
-            "conjugate_second": self.conjugate_second,
-        }
+        """The design and convention as a fresh dict, built once per spec."""
+        return self._descriptor.copy()
 
 
 def coincidence_probability(rho: DensityMatrix, u, v) -> float:

@@ -179,11 +179,5 @@ def detect(
     _check_tol(tol)
     _check_bounds_match(spec, bounds)
     value = correlation_sum(rho, spec)
-    return DetectionVerdict(
-        value=value,
-        lower_used=bounds.lower,
-        upper_used=bounds.upper,
-        verdict=_classify(value, bounds, tol),
-        design_descriptor=spec.descriptor(),
-        conjugate_second=spec.conjugate_second,
-    )
+    return DetectionVerdict(value, bounds.lower, bounds.upper, _classify(value, bounds, tol),
+                            spec.descriptor(), spec.conjugate_second)

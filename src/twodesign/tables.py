@@ -34,10 +34,10 @@ from .bounds import (
     separable_upper_bound,
     subset_bound_spectrum,
 )
-from .core import DimensionMismatchError, _check_tol, validate_density
+from .core import DimensionMismatchError, _check_densities, _check_tol
 from .correlations import CorrelationSpec
 from .designs import mub_triple_family_d4, sic_povm, standard_mubs
-from .states import _check_bounds_match, _classify, _family_matrices
+from .states import Verdict, _check_bounds_match, _family_matrices
 from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
 
 
@@ -318,8 +318,7 @@ def _family_line(family: str, d: int, spec: CorrelationSpec) -> tuple[float, flo
     a convex combination of them, hence a state too.
     """
     ends = _family_matrices(family, d, [0.0, 1.0])
-    for end in ends:
-        validate_density(end, d)
+    _check_densities(ends)
     at0, at1 = np.einsum("ij,nij->n", spec.witness.conj(), ends).real.tolist()
     return at0, at1
 
@@ -339,11 +338,11 @@ def scan_family(
 
     Each row is what ``detect(symmetric_state(...), spec, bounds, tol)``
     gives at that parameter (clipped into [0, 1] for the state), without a
-    state object per point: the design match and ``tol`` are checked once
-    per scan, and each value is read off the family's line
-    (:func:`_family_line`), whose two end states are the only matrices
-    built and validated.  ``start``, ``stop`` and ``step`` must be finite and
-    span at most ``MAX_SCAN_ROWS`` rows.
+    state per point: the design match and ``tol`` are checked once, each value
+    is read off the family's line (:func:`_family_line`), and the verdicts are
+    one array comparison.  Rows are ``start + k * step`` for each k up to
+    (stop - start) / step + 1e-9 (the slack absorbs rounding), at most
+    ``MAX_SCAN_ROWS`` of them; ``start``, ``stop`` and ``step`` must be finite.
     """
     for name, val in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(val):
@@ -352,26 +351,25 @@ def scan_family(
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError(f"stop {stop} is below start {start}")
-    span = (stop - start) / step  # the scan has round(span) + 1 rows; inf on overflow
-    if not span < MAX_SCAN_ROWS - 0.5:
+    span = (stop - start) / step + 1e-9  # rows k = 0 .. floor(span); inf on overflow
+    if not span < MAX_SCAN_ROWS:
         raise ValueError(f"start, stop and step need {span + 1:.4g} rows, over {MAX_SCAN_ROWS}")
     _check_tol(tol)
     _check_bounds_match(spec, bounds)
     if d != spec.dim:
         raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")
     at0, at1 = _family_line(family, d, spec)
-    count = int(round(span))
-    params = [start + k * step for k in range(count + 1)]
-    clipped = np.clip(np.array(params, dtype=float), 0.0, 1.0)
+    params = start + np.arange(math.floor(span) + 1) * step
+    clipped = np.clip(params, 0.0, 1.0)
     values = (1 - clipped) * at0 + clipped * at1
-    rows, flip = [], None
-    for p, value in zip(params, values.tolist()):
-        verdict = _classify(value, bounds, tol).value
-        if flip is None and rows and verdict != rows[-1].verdict:
-            flip = (p, rows[-1].verdict, verdict)
-        rows.append(ScanRow(parameter=p, value=value, verdict=verdict))
+    # _classify's strict comparisons on the whole line; codes index Verdict's members in order
+    codes = np.where(values < bounds.lower - tol, 0, np.where(values > bounds.upper + tol, 1, 2))
+    verdicts = np.array([v.value for v in Verdict], dtype=object)[codes].tolist()
+    rows = tuple(map(ScanRow, params.tolist(), values.tolist(), verdicts))
+    k = np.flatnonzero(codes[1:] != codes[:-1])[:1] + 1
+    flip = (rows[k[0]].parameter, verdicts[k[0] - 1], verdicts[k[0]]) if k.size else None
     return ScanResult(family=family, dim=d, design_descriptor=spec.descriptor(),
-                      rows=tuple(rows), first_flip=flip)
+                      rows=rows, first_flip=flip)
 
 
 # -- figure critical values ---------------------------------------------------------

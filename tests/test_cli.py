@@ -793,6 +793,15 @@ class TestScanCommand:
         assert flip[2] == "EntangledByUpper"
         assert abs(flip[0] - 0.25) < 1e-2
 
+    def test_no_row_past_stop(self, capsys):
+        # round(1 / 0.35) + 1 rows used to print "1.05,2,Inconclusive": the x = 1 value
+        code, out, _ = run_cli(
+            capsys, "scan", "--family", "werner", "--design", "mub", "--d", "2",
+            "--bounds", "closed-form", "--step", "0.35", "--format", "csv",
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["0", "0.35", "0.7"]
+
     def test_stop_below_start_is_error(self, capsys):
         code, out, err = run_cli(
             capsys, "scan", "--family", "werner", "--design", "mub", "--d", "2", "--m", "3",

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,23 @@ class TestDensityStackChecks:
         _check_densities(np.stack([random_bipartite_density(3, rng).matrix for _ in range(70)]))
 
 
+class TestRealStack:
+    BAD = TestDensityStackChecks.BAD
+
+    @pytest.mark.parametrize("error", list(BAD))
+    def test_same_outcome_as_complex_copy(self, error):
+        # scan_family checks its real end states as a stack, without a complex copy
+        good = [np.eye(4) / 4, np.diag([0.5, 0.5, 0.0, 0.0])]
+        _check_densities(np.stack(good))
+        bad = np.eye(4) / 4 + 0.5 * np.eye(4, k=1) if error is NotHermitianError else self.BAD[error]
+        stack = np.stack(good + [bad])
+        with pytest.raises(error) as real:
+            _check_densities(stack)
+        with pytest.raises(error) as complex_:
+            _check_densities(stack.astype(complex))
+        assert real.value.violation == complex_.value.violation
+
+
 class TestValidationThresholds:
     """Each check accepts half its documented tolerance and rejects twice it:
     1e-10 for hermiticity and trace, -1e-9 for the smallest eigenvalue."""
@@ -320,6 +338,45 @@ class TestEigenvaluesOnlyForFailures:
         m[1, 2] = entry
         with pytest.raises(ValueError) as err:
             validate_density(m, 2)
+        assert type(err.value) is ValueError and str(err.value) == "non-finite entries"
+
+
+class TestFiniteScreen:
+    """Finiteness is screened by sum |m_ij|^2 and, when that is not finite,
+    decided entry by entry: huge finite entries get the outcome the exact
+    checks give them, and no warning is raised on the way."""
+
+    @pytest.mark.parametrize("matrix, error, message", [
+        (np.diag([1e200, -1e200, 0.5, 0.5]), NotPositiveError,
+         "matrix has a negative eigenvalue (violation 1.000e+200)"),
+        (np.eye(4) * 1e200, NotUnitTraceError,
+         "matrix does not have unit trace (violation 4.000e+200)"),
+        (np.eye(4) / 4 + 1e200 * np.eye(4, k=1), NotHermitianError,
+         "matrix is not Hermitian (violation 1.000e+200)"),
+        (np.full((4, 4), 1e300 + 1e300j), NotHermitianError,
+         "matrix is not Hermitian (violation 2.000e+300)"),
+    ], ids=["negative", "trace", "hermiticity", "complex"])
+    def test_huge_finite_entries(self, matrix, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                validate_density(matrix.astype(complex), 2)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                       complex(np.inf, 1.0), complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_non_finite_entries(self, entry, scale):
+        # at scale 1e200 the screen overflows and the entrywise check decides;
+        # a symmetric pair of infinities must fail before m - m^H forms inf - inf
+        m = np.eye(4, dtype=complex) * scale
+        m[0, 3] = m[3, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                validate_density(m, 2)
+            with pytest.raises(ValueError, match="^non-finite entries$"):
+                kron(m, np.eye(2))
         assert type(err.value) is ValueError and str(err.value) == "non-finite entries"
 
 

@@ -1,5 +1,6 @@
 """Symmetric state families, the positive-approximation witness, detection."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -36,6 +37,8 @@ from twodesign import (
     witness_expectation,
 )
 from twodesign import tables
+from twodesign.states import _classify
+from twodesign.tables import ScanRow
 from twodesign.core import random_bipartite_density, random_state_vector
 
 OPTS = OptimizerOptions(seed=0)
@@ -340,6 +343,107 @@ class TestScanFamily:
             scan_family("werner", 2, CorrelationSpec(standard_mubs(3)), full_mub3_record)
         with pytest.raises(ValueError):
             scan_family("bell", 3, CorrelationSpec(standard_mubs(3)), full_mub3_record)
+
+
+def loop_scan(scan, record, tol=1e-9):
+    """Verdicts and first flip of ``scan``'s values by a loop over ``_classify``."""
+    verdicts = [_classify(row.value, record, tol).value for row in scan.rows]
+    flips = [(row.parameter, verdicts[k - 1], verdicts[k])
+             for k, row in enumerate(scan.rows) if k and verdicts[k] != verdicts[k - 1]]
+    return verdicts, (flips[0] if flips else None)
+
+
+class TestVectorizedScan:
+    """The scan's verdicts, taken for the whole line at once, are the ones
+    ``_classify`` gives row by row, ties at both band edges included."""
+
+    @staticmethod
+    def werner_mub2(record=None, **kwargs):
+        design = standard_mubs(2)
+        record = record or closed_form_record(design, "mub")
+        return scan_family("werner", 2, CorrelationSpec(design), record, **kwargs), record
+
+    def assert_matches_loop(self, scan, record, tol=1e-9):
+        assert type(scan.rows) is tuple and all(type(r) is ScanRow for r in scan.rows)
+        verdicts, flip = loop_scan(scan, record, tol)
+        assert [row.verdict for row in scan.rows] == verdicts
+        assert scan.first_flip == flip
+
+    def test_ties_at_both_edges_are_inconclusive(self):
+        # lower - tol and upper + tol land exactly on the values of rows 3 and 7
+        tol = 2.0 ** -20
+        base, record = self.werner_mub2(step=0.125)
+        values = [row.value for row in base.rows]
+        lower, upper = values[3] + tol, values[7] - tol
+        assert (lower - tol, upper + tol) == (values[3], values[7])
+        tied = dataclasses.replace(record, lower=lower, upper=upper)
+        scan, _ = self.werner_mub2(tied, step=0.125, tol=tol)
+        self.assert_matches_loop(scan, tied, tol)
+        verdicts = [row.verdict for row in scan.rows]
+        assert verdicts == (["EntangledByLower"] * 3 + ["Inconclusive"] * 5
+                            + ["EntangledByUpper"])
+        assert scan.first_flip == (0.375, "EntangledByLower", "Inconclusive")
+
+    def test_no_flip(self):
+        _, record = self.werner_mub2()
+        wide = dataclasses.replace(record, lower=0.0, upper=3.0)
+        scan, _ = self.werner_mub2(wide)
+        self.assert_matches_loop(scan, wide)
+        assert {row.verdict for row in scan.rows} == {"Inconclusive"} and scan.first_flip is None
+
+    def test_flip_at_the_first_row(self):
+        base, record = self.werner_mub2(step=0.1)
+        first = dataclasses.replace(record, lower=(base.rows[0].value + base.rows[1].value) / 2)
+        scan, _ = self.werner_mub2(first, step=0.1)
+        self.assert_matches_loop(scan, first)
+        assert scan.first_flip == (scan.rows[1].parameter, "EntangledByLower", "Inconclusive")
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mub", "sic"])
+    def test_full_scans_match_the_loop(self, d, kind):
+        design = standard_mubs(d) if kind == "mub" else sic_povm(d)
+        record = closed_form_record(design, kind)
+        for family, conj in (("werner", False), ("isotropic", True)):
+            scan = scan_family(family, d, CorrelationSpec(design, conjugate_second=conj), record)
+            self.assert_matches_loop(scan, record)
+
+    @pytest.mark.parametrize("start, stop, step, params", [
+        (0.0, 1.0, 0.35, [0.0, 0.35, 0.7]),               # 1.05 used to be reported
+        (0.2, 0.5, 0.2, [0.2, 0.4]),
+        (0.2, 0.5, 0.1, [0.2, 0.2 + 0.1, 0.2 + 2 * 0.1, 0.2 + 3 * 0.1]),  # 0.3 / 0.1 < 3
+        (0.6, 0.6, 1e-3, [0.6]),
+    ])
+    def test_no_row_past_stop(self, start, stop, step, params):
+        scan, _ = self.werner_mub2(start=start, stop=stop, step=step)
+        assert [row.parameter for row in scan.rows] == params
+        assert scan.rows[-1].parameter <= stop + 1e-9 * step
+
+    def test_row_cap_counts_the_same_rows(self, monkeypatch):
+        # stop = cap - 0.5 at step 1 has rows 0 .. cap - 1: exactly the cap, so it passes
+        monkeypatch.setattr(tables, "_family_line", TestScanFamily._no_scan)
+        cap = tables.MAX_SCAN_ROWS
+        with pytest.raises(AssertionError, match="let the scan start"):
+            self.werner_mub2(stop=cap - 0.5, step=1.0)
+        with pytest.raises(ValueError, match=f"rows, over {cap}"):
+            self.werner_mub2(stop=float(cap), step=1.0)
+
+
+class TestDetectDescriptor:
+    def test_fresh_equal_dict_per_call(self):
+        spec = CorrelationSpec(standard_mubs(3), conjugate_second=True)
+        first, second = spec.descriptor(), spec.descriptor()
+        assert first == second == {"kind": "mub", "dim": 3, "size": 4,
+                                   "provenance": "standard", "conjugate_second": True}
+        assert first is not second
+
+    def test_mutating_a_verdict_leaves_the_next_unchanged(self, full_mub3_record):
+        spec = CorrelationSpec(standard_mubs(3))
+        verdict = detect(werner_state(3, 0.3), spec, full_mub3_record)
+        want = dict(verdict.design_descriptor)
+        verdict.design_descriptor["kind"] = "sic"
+        verdict.design_descriptor.clear()
+        again = detect(werner_state(3, 0.3), spec, full_mub3_record)
+        assert again.design_descriptor == want == spec.descriptor()
 
 
 @pytest.mark.parametrize("call, error, message", [
