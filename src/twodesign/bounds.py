@@ -160,8 +160,8 @@ class BoundRecord:
     subset_or_params: str
     lower: float
     upper: float
-    argmin: ProductState
-    argmax: np.ndarray
+    argmin: ProductState | None
+    argmax: np.ndarray | None
     restarts: int
     converged: bool
     provenance: str | None = None  # the design's provenance; None when unknown

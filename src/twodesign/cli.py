@@ -111,11 +111,12 @@ _RECORD_DEFAULTS = {"subset_or_params": "", "argmin": None, "argmax": None,
 _FIELD_TYPES = {"int": ("an integer", {int}), "float": ("a number", {int, float}),
                 "bool": ("a boolean", {bool}), "str": ("a string", {str}),
                 "str | None": ("a string or null", {str, type(None)})}
-#: How a JSON value becomes a field, given the record's dim; other fields keep
-#: the JSON value.
+#: How a JSON value becomes a field, by field name, given the record's dim;
+#: other fields keep the JSON value.
 _FIELD_PARSERS = {
-    "float": lambda x, dim: float(x), "np.ndarray": _unit,
-    "ProductState": lambda obj, dim: ProductState(_unit(obj["e"], dim), _unit(obj["f"], dim)),
+    "lower": lambda x, dim: float(x), "upper": lambda x, dim: float(x),
+    "argmin": lambda obj, dim: ProductState(_unit(obj["e"], dim), _unit(obj["f"], dim)),
+    "argmax": _unit,
 }
 
 
@@ -131,7 +132,7 @@ def _from_json(obj: dict) -> BoundRecord:
         kind, types = _FIELD_TYPES.get(f.type, (None, None))
         if kind and type(value) not in types:
             raise ValueError(f"bounds field {f.name!r} must be {kind}, got {value!r}")
-        parse = _FIELD_PARSERS.get(f.type)
+        parse = _FIELD_PARSERS.get(f.name)
         try:
             kwargs[f.name] = value if value is None or parse is None else parse(value, kwargs["dim"])
         except (KeyError, OverflowError, TypeError, ValueError) as exc:

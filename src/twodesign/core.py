@@ -159,7 +159,7 @@ def _accepts(m: np.ndarray) -> bool:
     """Whether one finite (D, D) matrix passes the fast test: ||m - m^H||_F (it bounds every
     entry), the trace, and a Cholesky factorization of m + m^H - 2 PSD_FLOOR I, which exists
     iff lambda_min((m + m^H)/2) > ``PSD_FLOOR`` (to rounding)."""
-    adj = np.ascontiguousarray(m.conj().T, dtype=complex)  # h is complex even for a real m
+    adj = np.ascontiguousarray(m.conj().T)  # contiguous: the sums below run faster
     dev = m - adj
     if not (np.vdot(dev, dev).real <= STRUCTURAL_TOL**2 and abs(m.trace() - 1.0) <= STRUCTURAL_TOL):
         return False
@@ -177,25 +177,18 @@ def _floor_shift(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex) * (-2 * PSD_FLOOR)
 
 
-def _check_densities(m: np.ndarray) -> None:
-    """:func:`validate_density`'s checks on a finite (n, D, D) stack; the first invalid raises."""
-    if not all(map(_accepts, m)):
-        _exact_checks(m)
-
-
 def _exact_checks(m: np.ndarray) -> None:
-    """Max-entry hermiticity, trace and eigenvalues of a stack; the first failure raises."""
-    adj = m.conj().swapaxes(1, 2)
-    herm = np.abs(m - adj).max(axis=(-2, -1))
-    tr_dev = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
-    min_eig = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
-    for herm_i, tr_dev_i, min_eig_i in zip(herm, tr_dev, min_eig):
-        if herm_i > STRUCTURAL_TOL:
-            raise NotHermitianError(herm_i)
-        if tr_dev_i > STRUCTURAL_TOL:
-            raise NotUnitTraceError(tr_dev_i)
-        if min_eig_i < PSD_FLOOR:
-            raise NotPositiveError(-min_eig_i)
+    """Max-entry hermiticity, trace and eigenvalues of one matrix; the first failure raises."""
+    adj = m.conj().T
+    herm = np.abs(m - adj).max()
+    if herm > STRUCTURAL_TOL:
+        raise NotHermitianError(herm)
+    tr_dev = abs(m.trace() - 1.0)
+    if tr_dev > STRUCTURAL_TOL:
+        raise NotUnitTraceError(tr_dev)
+    min_eig = np.linalg.eigvalsh((m + adj) / 2)[0]
+    if min_eig < PSD_FLOOR:
+        raise NotPositiveError(-min_eig)
 
 
 def validate_density(matrix, local_dim: int) -> DensityMatrix:
@@ -204,14 +197,14 @@ def validate_density(matrix, local_dim: int) -> DensityMatrix:
     Non-finite entries raise ``ValueError``; then :class:`NotHermitianError`,
     :class:`NotUnitTraceError` or :class:`NotPositiveError`, each carrying the
     measured violation.  :func:`_accepts` passes a valid state (2-D work, one Cholesky
-    factorization), :func:`_exact_checks` decide the rest.  Returns a read-only copy.
+    factorization), :func:`_exact_checks` decides the rest.  Returns a read-only copy.
     """
     d = int(local_dim)
     m = _as_complex(np.array(matrix, dtype=complex))
     if m.shape != (d * d, d * d):
         raise DimensionMismatchError(f"expected shape {(d * d, d * d)}, got {m.shape}")
     if not _accepts(m):
-        _exact_checks(m[None])
+        _exact_checks(m)
     m.setflags(write=False)
     return DensityMatrix(local_dim=d, matrix=m)
 

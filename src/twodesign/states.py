@@ -64,14 +64,11 @@ class DesignMismatchError(ValueError):
     """The supplied bounds were computed for a different design."""
 
 
-def _family_matrices(family: str, d: int, params) -> np.ndarray:
-    """Unvalidated (n, d^2, d^2) stack of Werner or isotropic matrices, one per parameter."""
-    x = np.asarray(params, dtype=float)[:, None, None]
+def _family_matrix(family: str, d: int, x: float) -> np.ndarray:
+    """The unvalidated Werner or isotropic matrix at parameter ``x``."""
     if family == "werner":
         p_sym, p_asym = symmetry_projectors(d)
         return x * 2 / (d * (d + 1)) * p_sym + (1 - x) * 2 / (d * (d - 1)) * p_asym
-    if family != "isotropic":
-        raise ValueError("family must be 'werner' or 'isotropic'")
     phi = max_entangled_state(d)
     return x * np.outer(phi, phi.conj()) + (1 - x) * np.eye(d * d) / (d * d)
 
@@ -90,7 +87,7 @@ def isotropic_state(d: int, q: float) -> DensityMatrix:
 
 
 def symmetric_state(spec: SymmetricStateSpec) -> DensityMatrix:
-    return validate_density(_family_matrices(spec.family, spec.dim, [spec.parameter])[0], spec.dim)
+    return validate_density(_family_matrix(spec.family, spec.dim, spec.parameter), spec.dim)
 
 
 @dataclass(frozen=True)

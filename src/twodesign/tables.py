@@ -34,11 +34,11 @@ from .bounds import (
     separable_upper_bound,
     subset_bound_spectrum,
 )
-from .core import DimensionMismatchError, _check_densities, _check_tol
-from .correlations import CorrelationSpec
+from .core import DimensionMismatchError, _check_tol
+from .correlations import CorrelationSpec, correlation_sum
 from .designs import mub_triple_family_d4, sic_povm, standard_mubs
-from .states import Verdict, _check_bounds_match, _family_matrices
-from .states import detect, symmetric_state  # noqa: F401  (bench/run.py traces them here)
+from .states import SymmetricStateSpec, Verdict, _check_bounds_match, symmetric_state
+from .states import detect  # noqa: F401  (bench/run.py traces it here)
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,14 @@ class ScanResult:
 
 
 def _family_line(family: str, d: int, spec: CorrelationSpec) -> tuple[float, float]:
-    """The sum tr[W rho(x)] at x = 0 and x = 1, on validated end states.
+    """The correlation sums of the validated family states at x = 0 and x = 1.
 
     The sum is linear in the state and the family affine in x, so it is
     (1 - x) * at0 + x * at1 all along; every member between the two ends is
     a convex combination of them, hence a state too.
     """
-    ends = _family_matrices(family, d, [0.0, 1.0])
-    _check_densities(ends)
-    at0, at1 = np.einsum("ij,nij->n", spec.witness.conj(), ends).real.tolist()
+    at0, at1 = (correlation_sum(symmetric_state(SymmetricStateSpec(family, d, x)), spec)
+                for x in (0.0, 1.0))
     return at0, at1
 
 
@@ -352,14 +351,15 @@ def scan_family(
     if stop < start:
         raise ValueError(f"stop {stop} is below start {start}")
     span = (stop - start) / step + 1e-9  # rows k = 0 .. floor(span); inf on overflow
-    if not span < MAX_SCAN_ROWS:
-        raise ValueError(f"start, stop and step need {span + 1:.4g} rows, over {MAX_SCAN_ROWS}")
+    n_rows = math.floor(span) + 1 if span < math.inf else span
+    if n_rows > MAX_SCAN_ROWS:
+        raise ValueError(f"start, stop and step need {n_rows} rows, over {MAX_SCAN_ROWS}")
     _check_tol(tol)
     _check_bounds_match(spec, bounds)
     if d != spec.dim:
         raise DimensionMismatchError(f"state has local dimension {d}, design has {spec.dim}")
     at0, at1 = _family_line(family, d, spec)
-    params = start + np.arange(math.floor(span) + 1) * step
+    params = start + np.arange(n_rows) * step
     clipped = np.clip(params, 0.0, 1.0)
     values = (1 - clipped) * at0 + clipped * at1
     # _classify's strict comparisons on the whole line; codes index Verdict's members in order

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1063,3 +1064,14 @@ def scan9():
         mp.setattr(bounds, "separable_lower_bound", counted)
         res = d4_family_scan(9, OPTS, refine_count=1)
     return res, len(calls)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: closed_form_mub_upper(1, 3), ValueError, "need 2 <= m <= d+1"),
+    (lambda: closed_form_mub_upper(5, 3), ValueError, "need 2 <= m <= d+1"),
+    (lambda: design_closed_bounds(1, "mub"), ValueError, "need d >= 2"),
+    (lambda: design_closed_bounds(3, "povm"), ValueError, "kind must be 'mub' or 'sic'"),
+], ids=["mub upper m=1", "mub upper m=d+2", "closed bounds d=1", "closed bounds kind"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -26,7 +26,6 @@ from twodesign import (
 from twodesign.core import (
     PSD_FLOOR,
     STRUCTURAL_TOL,
-    _check_densities,
     density_from_json_obj,
     density_to_json_obj,
     random_bipartite_density,
@@ -188,51 +187,6 @@ class TestValidateDensity:
             validate_density(m, 2)
 
 
-class TestDensityStackChecks:
-    BAD = {
-        NotHermitianError: np.eye(4) / 4 + 0.5j * np.eye(4, k=1),
-        NotUnitTraceError: np.eye(4) / 4 * 1.1,
-        NotPositiveError: np.diag([0.6, 0.5, -0.05, -0.05]),
-    }
-
-    @pytest.mark.parametrize("error", list(BAD))
-    def test_same_error_and_violation_as_one_matrix(self, error, rng):
-        bad = self.BAD[error].astype(complex)
-        with pytest.raises(error) as alone:
-            validate_density(bad, 2)
-        good = [random_bipartite_density(2, rng).matrix for _ in range(5)]
-        stack = np.stack(good[:3] + [bad] + good[3:])
-        with pytest.raises(error) as stacked:
-            _check_densities(stack)
-        assert stacked.value.violation == alone.value.violation
-
-    def test_first_failing_matrix_wins(self, rng):
-        good = random_bipartite_density(2, rng).matrix
-        stack = np.stack([good, self.BAD[NotUnitTraceError], self.BAD[NotHermitianError]])
-        with pytest.raises(NotUnitTraceError):
-            _check_densities(stack.astype(complex))
-
-    def test_valid_stack_passes(self, rng):
-        _check_densities(np.stack([random_bipartite_density(3, rng).matrix for _ in range(70)]))
-
-
-class TestRealStack:
-    BAD = TestDensityStackChecks.BAD
-
-    @pytest.mark.parametrize("error", list(BAD))
-    def test_same_outcome_as_complex_copy(self, error):
-        # scan_family checks its real end states as a stack, without a complex copy
-        good = [np.eye(4) / 4, np.diag([0.5, 0.5, 0.0, 0.0])]
-        _check_densities(np.stack(good))
-        bad = np.eye(4) / 4 + 0.5 * np.eye(4, k=1) if error is NotHermitianError else self.BAD[error]
-        stack = np.stack(good + [bad])
-        with pytest.raises(error) as real:
-            _check_densities(stack)
-        with pytest.raises(error) as complex_:
-            _check_densities(stack.astype(complex))
-        assert real.value.violation == complex_.value.violation
-
-
 class TestValidationThresholds:
     """Each check accepts half its documented tolerance and rejects twice it:
     1e-10 for hermiticity and trace, -1e-9 for the smallest eigenvalue."""
@@ -250,11 +204,8 @@ class TestValidationThresholds:
     @pytest.mark.parametrize("error", [NotHermitianError, NotUnitTraceError, NotPositiveError])
     def test_half_accepted_twice_rejected(self, error):
         validate_density(self.deviated(error, 0.5), 2)
-        _check_densities(self.deviated(error, 0.5)[None])
         with pytest.raises(error):
             validate_density(self.deviated(error, 2.0), 2)
-        with pytest.raises(error):
-            _check_densities(self.deviated(error, 2.0)[None])
 
 
 def _no_eigvalsh(*args, **kwargs):
@@ -263,8 +214,7 @@ def _no_eigvalsh(*args, **kwargs):
 
 class TestDenseValidationThresholds:
     """The same thresholds on dense d = 3 and d = 4 states: a seeded
-    Haar-rotated spectrum, checked alone and in the middle of a stack of
-    valid states."""
+    Haar-rotated spectrum."""
 
     @staticmethod
     def deviated(error, scale, d, rng):
@@ -286,31 +236,24 @@ class TestDenseValidationThresholds:
 
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("error", [NotHermitianError, NotUnitTraceError, NotPositiveError])
-    def test_half_accepted_twice_rejected_alone_and_stacked(self, monkeypatch, error, d):
+    def test_half_accepted_twice_rejected(self, monkeypatch, error, d):
         rng = np.random.default_rng(100 + d)
-        good = [random_bipartite_density(d, rng).matrix for _ in range(6)]
         half, twice = (self.deviated(error, scale, d, rng) for scale in (0.5, 2.0))
-        with pytest.raises(error) as alone:
+        with pytest.raises(error):
             validate_density(twice, d)
-        with pytest.raises(error) as stacked:
-            _check_densities(np.stack(good[:3] + [twice] + good[3:]))
-        assert stacked.value.violation == alone.value.violation
         # accepted by the factorization itself, not by the eigenvalues of a failure
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
         validate_density(half, d)
-        _check_densities(np.stack(good[:3] + [half] + good[3:]))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_nine_tenths_of_the_floor_factor(self, monkeypatch, d):
         # lambda_min = 0.9 * PSD_FLOOR lies between the floor and half of it, so
         # only the documented shift of -2 * PSD_FLOOR factors it
         rng = np.random.default_rng(200 + d)
-        good = [random_bipartite_density(d, rng).matrix for _ in range(6)]
         near = self.deviated(NotPositiveError, 0.9, d, rng)
         assert np.linalg.eigvalsh(near)[0] == pytest.approx(-0.9e-9, rel=1e-6)
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
         validate_density(near, d)
-        _check_densities(np.stack(good[:3] + [near] + good[3:]))
 
 
 class TestEigenvaluesOnlyForFailures:
@@ -319,18 +262,26 @@ class TestEigenvaluesOnlyForFailures:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_valid_inputs_call_no_eigvalsh(self, monkeypatch, rng, d):
-        stack = np.stack([random_bipartite_density(d, rng).matrix for _ in range(64)])
+        states = [random_bipartite_density(d, rng).matrix for _ in range(64)]
         bad = np.diag([1.1] + [0.0] * (d * d - 2) + [-0.1]).astype(complex)
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
-        for m in stack[:4]:
+        for m in states:
             validate_density(m, d)
-        _check_densities(stack)
         with pytest.raises(AssertionError, match="eigvalsh called"):
             validate_density(bad, d)
         monkeypatch.undo()
         with pytest.raises(NotPositiveError) as err:
             validate_density(bad, d)
         assert err.value.violation == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("error, matrix", [
+        (NotHermitianError, np.eye(4) / 4 + 0.5j * np.eye(4, k=1)),
+        (NotUnitTraceError, np.eye(4) / 4 * 1.1),
+    ], ids=["hermiticity", "trace"])
+    def test_structural_failures_call_no_eigvalsh(self, monkeypatch, error, matrix):
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        with pytest.raises(error):
+            validate_density(matrix.astype(complex), 2)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_entries(self, entry):

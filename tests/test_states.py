@@ -36,7 +36,7 @@ from twodesign import (
     werner_state,
     witness_expectation,
 )
-from twodesign import tables
+from twodesign import states, tables
 from twodesign.states import _classify
 from twodesign.tables import ScanRow
 from twodesign.core import random_bipartite_density, random_state_vector
@@ -299,14 +299,29 @@ class TestScanFamily:
                                step=step)
             assert abs(scan.first_flip[0] - first) <= step + 1e-12, (family, scan.first_flip)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mub", "sic"])
+    def test_end_rows_are_detect_values(self, d, kind):
+        # the rows at 0 and 1 are detect's values on the end states, to the bit
+        design = standard_mubs(d) if kind == "mub" else sic_povm(d)
+        record = closed_form_record(design, kind)
+        for family in ("werner", "isotropic"):
+            for conj in (False, True):
+                spec = CorrelationSpec(design, conjugate_second=conj)
+                scan = scan_family(family, d, spec, record)
+                ends = [scan.rows[0], scan.rows[-1]]
+                assert [row.parameter for row in ends] == [0.0, 1.0]
+                assert [row.value for row in ends] == [
+                    detect(symmetric_state(SymmetricStateSpec(family, d, x)), spec, record).value
+                    for x in (0.0, 1.0)], (family, conj)
+
     def test_validates_the_end_states(self, monkeypatch):
         # a family whose x = 1 end is not positive: the scan must refuse it
-        def stub(family, d, params):
+        def stub(family, d, x):
             bad = np.diag([2.0, -1.0] + [0.0] * (d * d - 2))
-            x = np.asarray(params, dtype=float)[:, None, None]
             return x * bad + (1 - x) * np.eye(d * d) / (d * d)
 
-        monkeypatch.setattr(tables, "_family_matrices", stub)
+        monkeypatch.setattr(states, "_family_matrix", stub)
         design = standard_mubs(3)
         with pytest.raises(NotPositiveError):
             scan_family("werner", 3, CorrelationSpec(design), closed_form_record(design, "mub"))
@@ -327,10 +342,12 @@ class TestScanFamily:
         monkeypatch.setattr(tables, "_family_line", self._no_scan)
         spec = CorrelationSpec(standard_mubs(3))
         cap = tables.MAX_SCAN_ROWS
-        too_long = ({"stop": cap, "step": 1.0}, {"step": 1e-300},
-                    {"start": -1e308, "stop": 1e308})
-        for kwargs in too_long:
-            with pytest.raises(ValueError, match=f"rows, over {cap}"):
+        # the exact count, or inf once the span overflows
+        too_long = (({"stop": cap, "step": 1.0}, str(cap + 1)), ({"step": 1e-300}, r"\d+"),
+                    ({"start": -1e308, "stop": 1e308}, "inf"))
+        for kwargs, need in too_long:
+            message = f"^start, stop and step need {need} rows, over {cap}$"
+            with pytest.raises(ValueError, match=message):
                 scan_family("werner", 3, spec, full_mub3_record, **kwargs)
         # exactly ``cap`` rows passes the check and reaches the end states
         with pytest.raises(AssertionError, match="let the scan start"):
